@@ -1,9 +1,9 @@
 """Air-to-ground link budget.
 
-Pure functions for geometry, LoS probability, fading, received power,
-inter-UAV interference and achievable rate. All functions accept scalars or
-numpy arrays (broadcasting elementwise), so the same code evaluates a single
-test link and a whole frame of links.
+Pure functions for geometry, LoS probability, fading, received power and
+achievable rate; FrameWorld.evaluate adds the inter-UAV interference. All
+functions accept scalars or numpy arrays (broadcasting elementwise), so the
+same code evaluates a single test link and a whole frame of links.
 
 Conventions: distances in meters, powers in watts, bandwidth in Hz, rates in
 bits/s. Fading factors are dimensionless power gains normalized to unit mean,
@@ -42,22 +42,6 @@ class LinkGeometry:
     d: float      # horizontal distance, m
     r: float      # 3D distance, m
     theta: float  # elevation angle, rad
-
-
-@dataclass(frozen=True)
-class FadingDraw:
-    g: float  # Rician power gain (LoS link)
-    k: float  # Rayleigh power gain (NLoS link)
-
-
-@dataclass(frozen=True)
-class LinkBudget:
-    p_los: float        # LoS probability
-    power_los: float    # received power under the LoS hypothesis, W
-    power_nlos: float   # received power under the NLoS hypothesis, W
-    power_eff: float    # probability-weighted mix, W
-    interference: float # co-channel NLoS interference, W
-    rate: float         # achievable rate, bits/s
 
 
 def link_geometry(ue_xy, uav_xyz) -> LinkGeometry:
@@ -116,22 +100,6 @@ def effective_power(p_los, power_los, power_nlos):
     return out if out.ndim else float(out)
 
 
-def interference_at(p_avg, rayleigh_gain, r, alpha_nlos):
-    """Total NLoS interference from the given co-channel UAVs.
-
-    Inputs are parallel arrays over the interfering UAVs only; the serving
-    UAV must already be excluded by the caller. Empty arrays give 0.
-    """
-    p = np.atleast_1d(np.asarray(p_avg, dtype=float))
-    if p.size == 0:
-        return 0.0
-    g = np.atleast_1d(np.asarray(rayleigh_gain, dtype=float))
-    rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr <= 0):
-        raise ValueError("distance must be positive")
-    return float(np.sum(p * g * rr ** (-float(alpha_nlos))))
-
-
 def achievable_rate(bandwidth, power_eff, interference, noise):
     """Shannon rate of the link: B * log2(1 + SINR)."""
     bw = np.asarray(bandwidth, dtype=float)
@@ -143,26 +111,6 @@ def achievable_rate(bandwidth, power_eff, interference, noise):
     sinr = np.asarray(power_eff, dtype=float) / (np.asarray(interference, dtype=float) + nz)
     out = bw * np.log2(1.0 + sinr)
     return out if out.ndim else float(out)
-
-
-def service_indicator(rate, r_th) -> int:
-    """1 when the rate meets the target threshold (inclusive)."""
-    if r_th <= 0:
-        raise ValueError("rate threshold must be positive")
-    return int(rate >= r_th)
-
-
-def link_budget(ue_xy, uav_xyz, p_tx: float, fading: FadingDraw, bandwidth: float,
-                interference: float, env: EnvConstants) -> LinkBudget:
-    """Full budget of one link: geometry through achievable rate."""
-    geom = link_geometry(ue_xy, uav_xyz)
-    p_los = los_probability(geom.theta, env)
-    pw_los = received_power(p_tx, geom.r, fading.g, env.alpha_los)
-    pw_nlos = received_power(p_tx, geom.r, fading.k, env.alpha_nlos)
-    p_eff = effective_power(p_los, pw_los, pw_nlos)
-    rate = achievable_rate(bandwidth, p_eff, interference, env.noise_power)
-    return LinkBudget(p_los=p_los, power_los=pw_los, power_nlos=pw_nlos,
-                      power_eff=p_eff, interference=float(interference), rate=rate)
 
 
 def rayleigh_power_gain(rng: np.random.Generator, size=None):
@@ -184,15 +132,6 @@ def rician_power_gain(rng: np.random.Generator, k_db: float, size=None):
     y = rng.normal(0.0, sigma, size=shape)
     g = (nu + x) ** 2 + y ** 2
     return g if np.ndim(g) else float(g)
-
-
-def sample_fading(kind: str, rng: np.random.Generator, env: EnvConstants, size=None):
-    """Draw one fading component ('rician' or 'rayleigh') from rng."""
-    if kind == "rician":
-        return rician_power_gain(rng, env.rician_k_db, size=size)
-    if kind == "rayleigh":
-        return rayleigh_power_gain(rng, size=size)
-    raise ValueError(f"unknown fading kind: {kind}")
 
 
 class FadingField:

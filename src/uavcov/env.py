@@ -73,47 +73,30 @@ def map_altitude(raw: float, h_min: float, h_max: float) -> float:
     return h_min + (np.tanh(raw) + 1.0) / 2.0 * (h_max - h_min)
 
 
-def map_power(logits, mask, p_max: float) -> np.ndarray:
-    """Masked softmax over active slots scaled to the full power budget.
+def masked_softmax(logits, mask) -> np.ndarray:
+    """Softmax over the active entries of the last axis; inactive entries get 0.
 
-    Inactive slots get exactly zero; active slots sum to p_max.
+    mask selects entries of the last axis and is shared by every leading row;
+    scaled by p_max it is the power split, which sums to the budget.
     """
     z = np.asarray(logits, dtype=float)
     m = np.asarray(mask, dtype=bool)
     if not np.any(m):
         raise ValueError("at least one slot must be active")
     out = np.zeros_like(z)
-    active = z[m]
-    active = np.exp(active - active.max())
-    out[m] = active / active.sum() * p_max
+    active = z[..., m]
+    active = np.exp(active - active.max(axis=-1, keepdims=True))
+    out[..., m] = active / active.sum(axis=-1, keepdims=True)
     return out
 
 
-def masked_softmax(logits, mask) -> np.ndarray:
-    """Softmax over active slots only; inactive slots get 0."""
-    return map_power(logits, mask, 1.0)
-
-
-@dataclass
-class UavAgent:
-    index: int
-    active: bool
-    xy: np.ndarray            # (2,) m
-    h: float                  # m
-    slot_ues: np.ndarray      # (slots,) UE index or -1 padding
-    n_slots: int
-    power_alloc: np.ndarray   # (slots,) W
-    blocks: np.ndarray        # (slots,) int
-    served: np.ndarray        # (slots,) bool
-    frozen: np.ndarray        # (slots,) bool
-
-    @property
-    def mask(self) -> np.ndarray:
-        return self.slot_ues >= 0
-
-
 class FrameWorld:
-    """Mutable per-frame state of all agents plus the evaluation machinery."""
+    """Mutable per-frame state of all agents plus the evaluation machinery.
+
+    Per-UAV state lives in arrays over (k_max,) and per-slot state over
+    (k_max, slots). Padding slots and inactive UAVs stay zero (False) in every
+    array, so whole-row reductions count only assigned users.
+    """
 
     def __init__(self, cfg: EnvConfig, constants: EnvConstants, ue_xy_m: np.ndarray,
                  plan: ClusterPlan, uav_xyz: np.ndarray, active: np.ndarray,
@@ -121,93 +104,75 @@ class FrameWorld:
         self.cfg = cfg
         self.constants = constants
         self.ue_xy = np.asarray(ue_xy_m, dtype=float)
-        self.plan = plan
         self.frame = int(frame)
         self.fading = fading
         self.field_size_m = field_size_m
         self.audit = {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")}
 
-        S = cfg.slots
-        self.agents: list[UavAgent] = []
-        uav_of_cluster = {c: u for c, u in enumerate(plan.active_uavs)}
-        cluster_of_uav = {u: c for c, u in uav_of_cluster.items()}
-        for j in range(cfg.k_max):
-            if bool(active[j]):
-                members = np.flatnonzero(plan.assignment == cluster_of_uav[j])
-                if members.size > S:
-                    raise ValueError("cluster exceeds the configured slot count")
-                slot_ues = np.full(S, -1, dtype=np.int64)
-                slot_ues[: members.size] = np.sort(members)
-                agent = UavAgent(
-                    index=j, active=True, xy=uav_xyz[j, :2].copy(), h=float(uav_xyz[j, 2]),
-                    slot_ues=slot_ues, n_slots=int(members.size),
-                    power_alloc=np.zeros(S), blocks=np.zeros(S, dtype=np.int64),
-                    served=np.zeros(S, dtype=bool), frozen=np.zeros(S, dtype=bool),
-                )
-            else:
-                agent = UavAgent(
-                    index=j, active=False, xy=np.zeros(2), h=0.0,
-                    slot_ues=np.full(S, -1, dtype=np.int64), n_slots=0,
-                    power_alloc=np.zeros(S), blocks=np.zeros(S, dtype=np.int64),
-                    served=np.zeros(S, dtype=bool), frozen=np.zeros(S, dtype=bool),
-                )
-            self.agents.append(agent)
-        self.active_idx = [a.index for a in self.agents if a.active]
-        # UE -> (agent index, slot)
+        K, S = cfg.k_max, cfg.slots
+        self.active_idx = [j for j in range(K) if active[j]]
+        cluster_of_uav = {u: c for c, u in enumerate(plan.active_uavs)}
+        self.slot_ues = np.full((K, S), -1, dtype=np.int64)   # UE index or -1 padding
+        for j in self.active_idx:
+            members = np.flatnonzero(plan.assignment == cluster_of_uav[j])
+            if members.size > S:
+                raise ValueError("cluster exceeds the configured slot count")
+            self.slot_ues[j, : members.size] = members
+        self.mask = self.slot_ues >= 0
+        self.n_slots = self.mask.sum(axis=1)
+        self.xy = np.zeros((K, 2))
+        self.xy[self.active_idx] = uav_xyz[self.active_idx, :2]
+        self.h = np.zeros(K)
+        self.h[self.active_idx] = uav_xyz[self.active_idx, 2]
+        self.power = np.zeros((K, S))                     # W
+        self.blocks = np.zeros((K, S), dtype=np.int64)
+        self.served = np.zeros((K, S), dtype=bool)
+        self.frozen = np.zeros((K, S), dtype=bool)
+        # UE -> (UAV, slot), and the UAV's column among the active UAVs
+        js, ss = np.nonzero(self.mask)
         self.uav_of_ue = np.full(cfg.n_ues, -1, dtype=np.int64)
         self.slot_of_ue = np.full(cfg.n_ues, -1, dtype=np.int64)
-        for a in self.agents:
-            for s in range(a.n_slots):
-                ue = a.slot_ues[s]
-                self.uav_of_ue[ue] = a.index
-                self.slot_of_ue[ue] = s
+        self.uav_of_ue[self.slot_ues[js, ss]] = js
+        self.slot_of_ue[self.slot_ues[js, ss]] = ss
+        self.serving_col = np.searchsorted(self.active_idx, self.uav_of_ue)
 
     # ----- per-episode reset -----
 
     def reset_episode(self, equal_blocks: bool):
         """Fresh allocation state: mid altitude, uniform power, blocks 0 or equal split."""
         cfg = self.cfg
-        for a in self.agents:
-            if not a.active:
-                continue
-            a.h = (cfg.h_min + cfg.h_max) / 2.0
-            a.power_alloc[:] = 0.0
-            a.power_alloc[: a.n_slots] = cfg.p_max / a.n_slots
-            a.blocks[:] = 0
-            if equal_blocks:
-                a.blocks[: a.n_slots] = cfg.block_limit // a.n_slots
-            a.served[:] = False
-            a.frozen[:] = False
+        share = np.maximum(1, self.n_slots)[:, None]
+        self.h[self.active_idx] = (cfg.h_min + cfg.h_max) / 2.0
+        self.power[...] = np.where(self.mask, cfg.p_max / share, 0.0)
+        self.blocks[...] = np.where(self.mask, cfg.block_limit // share, 0) if equal_blocks else 0
+        self.served[...] = False
+        self.frozen[...] = False
 
     # ----- observations -----
 
     def maddpg_obs(self) -> np.ndarray:
         """(k_max, obs_dim) observation matrix; inactive agents are all-zero rows."""
         cfg = self.cfg
+        S = cfg.slots
+        act = self.active_idx
         out = np.zeros((cfg.k_max, cfg.obs_dim))
-        for a in self.agents:
-            if not a.active:
-                continue
-            h_norm = (a.h - cfg.h_min) / (cfg.h_max - cfg.h_min)
-            out[a.index, 0] = h_norm
-            out[a.index, 1: 1 + cfg.slots] = a.power_alloc / cfg.p_max
-            out[a.index, 1 + cfg.slots: 1 + 2 * cfg.slots] = a.blocks / cfg.block_limit
-            out[a.index, -2] = a.served[: a.n_slots].sum() / a.n_slots
-            out[a.index, -1] = a.n_slots / cfg.n_ues
+        out[act, 0] = (self.h[act] - cfg.h_min) / (cfg.h_max - cfg.h_min)
+        out[:, 1: 1 + S] = self.power / cfg.p_max
+        out[:, 1 + S: 1 + 2 * S] = self.blocks / cfg.block_limit
+        out[act, -2] = self.served[act].sum(axis=1) / self.n_slots[act]
+        out[:, -1] = self.n_slots / cfg.n_ues
         return out
 
-    def dqn_obs(self, agent_obs: np.ndarray, j: int, s: int) -> np.ndarray:
-        """Per-user state: the agent observation plus this slot's own fields."""
+    def dqn_obs(self, obs: np.ndarray, js: np.ndarray, ss: np.ndarray) -> np.ndarray:
+        """Per-user states of slots (js, ss): the UAV's observation row plus the slot's fields."""
         cfg = self.cfg
-        a = self.agents[j]
-        h_norm = (a.h - cfg.h_min) / (cfg.h_max - cfg.h_min)
-        tail = np.array([
-            h_norm,
-            a.power_alloc[s] / cfg.p_max,
-            a.blocks[s] / cfg.block_limit,
-            1.0 if a.served[s] else 0.0,
+        tail = np.column_stack([
+            (self.h[js] - cfg.h_min) / (cfg.h_max - cfg.h_min),
+            self.power[js, ss] / cfg.p_max,
+            self.blocks[js, ss] / cfg.block_limit,
+            self.served[js, ss].astype(float),
         ])
-        return np.concatenate([agent_obs, tail])
+        return np.concatenate([obs[js], tail], axis=1)
 
     # ----- action application -----
 
@@ -221,15 +186,15 @@ class FrameWorld:
         quantized down to whole blocks, so the budget holds by construction.
         """
         cfg = self.cfg
-        a = self.agents[j]
-        a.h = map_altitude(float(alt_raw), cfg.h_min, cfg.h_max)
-        fracs = masked_softmax(power_logits, a.mask)
-        a.power_alloc = fracs * cfg.p_max
-        alt01 = (a.h - cfg.h_min) / (cfg.h_max - cfg.h_min)
+        h = map_altitude(float(alt_raw), cfg.h_min, cfg.h_max)
+        self.h[j] = h
+        fracs = masked_softmax(power_logits, self.mask[j])
+        self.power[j] = fracs * cfg.p_max
+        alt01 = (h - cfg.h_min) / (cfg.h_max - cfg.h_min)
         if bw_logits is None:
             return np.concatenate([[alt01], fracs])
-        bw_fracs = masked_softmax(bw_logits, a.mask)
-        a.blocks = np.floor(bw_fracs * cfg.block_limit).astype(np.int64)
+        bw_fracs = masked_softmax(bw_logits, self.mask[j])
+        self.blocks[j] = np.floor(bw_fracs * cfg.block_limit).astype(np.int64)
         return np.concatenate([[alt01], fracs, bw_fracs])
 
     def apply_block_action(self, j: int, s: int, action: int):
@@ -238,25 +203,22 @@ class FrameWorld:
         Frozen slots ignore actions; the result is clamped to
         [0, block_limit - sum(other slots)] so the budget always holds.
         """
-        a = self.agents[j]
-        if a.frozen[s]:
+        if self.frozen[j, s]:
             return
-        remaining = self.cfg.block_limit - (int(a.blocks.sum()) - int(a.blocks[s]))
-        a.blocks[s] = min(max(int(a.blocks[s]) + int(action), 0), remaining)
+        row = self.blocks[j]
+        remaining = self.cfg.block_limit - (int(row.sum()) - int(row[s]))
+        row[s] = min(max(int(row[s]) + int(action), 0), remaining)
 
     # ----- evaluation -----
 
     def interferer_power(self) -> np.ndarray:
         """Per-active-UAV average transmit power used in the interference sum."""
         cfg = self.cfg
-        out = np.zeros(len(self.active_idx))
-        for c, j in enumerate(self.active_idx):
-            a = self.agents[j]
-            if cfg.p_avg_mode == "budget":
-                out[c] = cfg.p_max / max(1, a.n_slots)
-            else:
-                out[c] = a.power_alloc[: a.n_slots].sum() / max(1, a.n_slots)
-        return out
+        act = self.active_idx
+        share = np.maximum(1, self.n_slots[act])
+        if cfg.p_avg_mode == "budget":
+            return cfg.p_max / share
+        return np.array([self.power[j, : self.n_slots[j]].sum() for j in act]) / share
 
     def evaluate(self, episode: int, step: int):
         """Rates, serve flags and rewards for the current allocations.
@@ -269,78 +231,55 @@ class FrameWorld:
         cfg = self.cfg
         env = self.constants
         act = self.active_idx
-        n = cfg.n_ues
         g_all, k_all = self.fading.draw(self.frame, episode, step)
 
-        uav_xyz = np.array([[*self.agents[j].xy, self.agents[j].h] for j in act])
+        uav_xyz = np.column_stack([self.xy[act], self.h[act]])
         _, r, theta = channel.geometry_arrays(self.ue_xy, uav_xyz)  # (n, |act|)
-        col_of_uav = {j: c for c, j in enumerate(act)}
-        serving_col = np.array([col_of_uav[j] for j in self.uav_of_ue])
-        rows = np.arange(n)
+        rows = np.arange(cfg.n_ues)
+        uav, slot, col = self.uav_of_ue, self.slot_of_ue, self.serving_col
+        r_serv = r[rows, col]
+        p_tx = self.power[uav, slot]
 
-        g_serv = g_all[rows, self.uav_of_ue]
-        k_serv = k_all[rows, self.uav_of_ue]
-        r_serv = r[rows, serving_col]
-        theta_serv = theta[rows, serving_col]
-
-        p_tx = np.array([self.agents[self.uav_of_ue[i]].power_alloc[self.slot_of_ue[i]]
-                         for i in range(n)])
-        blocks = np.array([self.agents[self.uav_of_ue[i]].blocks[self.slot_of_ue[i]]
-                           for i in range(n)])
-
-        p_los = channel.los_probability(theta_serv, env)
-        pw_los = channel.received_power(p_tx, r_serv, g_serv, env.alpha_los)
-        pw_nlos = channel.received_power(p_tx, r_serv, k_serv, env.alpha_nlos)
+        p_los = channel.los_probability(theta[rows, col], env)
+        pw_los = channel.received_power(p_tx, r_serv, g_all[rows, uav], env.alpha_los)
+        pw_nlos = channel.received_power(p_tx, r_serv, k_all[rows, uav], env.alpha_nlos)
         p_eff = channel.effective_power(p_los, pw_los, pw_nlos)
 
-        p_avg = self.interferer_power()
-        k_act = k_all[:, act]
-        inter_full = p_avg[None, :] * k_act * r ** (-env.alpha_nlos)
-        interference = inter_full.sum(axis=1) - inter_full[rows, serving_col]
+        inter_full = self.interferer_power()[None, :] * k_all[:, act] * r ** (-env.alpha_nlos)
+        interference = inter_full.sum(axis=1) - inter_full[rows, col]
 
-        rates = channel.achievable_rate(blocks * cfg.block_size, p_eff, interference, env.noise_power)
+        rates = channel.achievable_rate(self.blocks[uav, slot] * cfg.block_size, p_eff,
+                                        interference, env.noise_power)
         served_flags = rates >= cfg.r_th
-
-        rewards = np.zeros(cfg.k_max)
-        ue_rewards = served_flags.astype(float)
-        for j in act:
-            a = self.agents[j]
-            members = a.slot_ues[: a.n_slots]
-            flags = served_flags[members]
-            a.served[: a.n_slots] = flags
-            a.frozen[: a.n_slots] |= flags
-            rewards[j] = float(flags.sum())
+        self.served[uav, slot] = served_flags
+        self.frozen |= self.served
+        rewards = self.served.sum(axis=1).astype(float)
         self._audit_step(rates, served_flags)
-        return rates, served_flags, rewards, ue_rewards
+        return rates, served_flags, rewards, served_flags.astype(float)
 
     def _audit_step(self, rates: np.ndarray, served_flags: np.ndarray):
         cfg = self.cfg
+        act = self.active_idx
         if np.any(served_flags & (rates < cfg.r_th)):
             self.audit["C1"] += 1
         w, hgt = self.field_size_m
-        for j in self.active_idx:
-            a = self.agents[j]
-            if a.power_alloc.sum() > cfg.p_max + 1e-9:
-                self.audit["C4"] += 1
-            if int(a.blocks.sum()) > cfg.block_limit:
-                self.audit["C5"] += 1
-            if not (0.0 <= a.xy[0] <= w and 0.0 <= a.xy[1] <= hgt):
-                self.audit["C6"] += 1
-            if not (cfg.h_min - 1e-9 <= a.h <= cfg.h_max + 1e-9):
-                self.audit["C7"] += 1
+        x, y, h = self.xy[act, 0], self.xy[act, 1], self.h[act]
+        in_field = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= hgt)
+        in_band = (cfg.h_min - 1e-9 <= h) & (h <= cfg.h_max + 1e-9)
+        self.audit["C4"] += int(np.count_nonzero(self.power[act].sum(axis=1) > cfg.p_max + 1e-9))
+        self.audit["C5"] += int(np.count_nonzero(self.blocks[act].sum(axis=1) > cfg.block_limit))
+        self.audit["C6"] += int(np.count_nonzero(~in_field))
+        self.audit["C7"] += int(np.count_nonzero(~in_band))
 
     # ----- summaries -----
 
     def served_total(self) -> int:
         """Users whose rate meets the threshold at the latest evaluation."""
-        return int(sum(self.agents[j].served[: self.agents[j].n_slots].sum()
-                       for j in self.active_idx))
+        return int(self.served.sum())
 
     def committed_total(self) -> int:
         """Users served at some evaluation this episode, allocation locked."""
-        return int(sum(self.agents[j].frozen[: self.agents[j].n_slots].sum()
-                       for j in self.active_idx))
+        return int(self.frozen.sum())
 
     def committed_per_agent(self) -> list[int]:
-        return [int(self.agents[j].frozen[: self.agents[j].n_slots].sum())
-                for j in self.active_idx]
+        return self.frozen[self.active_idx].sum(axis=1).tolist()

@@ -16,7 +16,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,15 +118,55 @@ class RunSummary:
 
 
 def _grid_for(cfg: ExperimentConfig, seed: int) -> GridWorld:
-    points = cfg.attraction_points
     grid = GridWorld(width=cfg.grid_width, height=cfg.grid_height,
-                     cell_size_m=cfg.cell_size_m, attraction_points=[],
-                     attraction_prob=cfg.attraction_prob, frames=cfg.frames)
+                     cell_size_m=cfg.cell_size_m, attraction_prob=cfg.attraction_prob,
+                     frames=cfg.frames)
+    points = cfg.attraction_points
     if points is None:
         points = mobility.draw_attraction_points(seed, grid, cfg.n_attraction_points)
-    grid.attraction_points = [tuple(p) for p in points]
-    grid.__post_init__()
-    return grid
+    return replace(grid, attraction_points=[tuple(p) for p in points])
+
+
+TRAJECTORY_COLUMNS = ["frame", "ue_id", "grid_x", "grid_y", "x_m", "y_m"]
+CLUSTER_COLUMNS = ["frame", "ue_id", "cluster", "centroid_x", "centroid_y",
+                   "k_star", "mean_silhouette"]
+
+
+def _frames(cfg: ExperimentConfig, seed: int, grid: GridWorld):
+    """Yield each frame's (mobility state, UE positions in m, UAV-matched cluster plan)."""
+    k_max = cfg.env.k_max
+    state = mobility.init_positions(cfg.env.n_ues, grid, seed)
+    prev_centroids: dict[int, np.ndarray] = {}
+    for frame in range(cfg.frames):
+        state = mobility.step_frame(state, grid, seed, frame)
+        pts = mobility.to_physical(state.positions, grid.cell_size_m)
+        clu_rng = seeding.counter_stream(seed, seeding.CLUSTERING, (frame,))
+        plan = clustering.select_k(pts, k_max, clu_rng)
+        plan = clustering.match_to_previous(plan, prev_centroids, k_max)
+        prev_centroids = {plan.active_uavs[c]: plan.centroids[c].copy()
+                          for c in range(plan.k_star)}
+        yield state, pts, plan
+
+
+def _write_frame(traj: CsvWriter, clusters: CsvWriter, frame: int, state, pts, plan):
+    """One frame's trajectories.csv and clusters.csv rows."""
+    for i, (gx, gy) in enumerate(state.positions.tolist()):
+        traj.row(frame, i, gx, gy, pts[i, 0], pts[i, 1])
+    for i, c in enumerate(plan.assignment.tolist()):
+        clusters.row(frame, i, c, plan.centroids[c, 0], plan.centroids[c, 1],
+                     plan.k_star, plan.silhouette_mean)
+
+
+def _write_metrics(writer: CsvWriter, world: FrameWorld, episode: int, timestep: int):
+    """One metrics.csv row per active UAV.
+
+    served_count is the episode's committed coverage; reward is the
+    instantaneous served count at the logged step.
+    """
+    act = world.active_idx
+    for row in zip(act, world.frozen[act].sum(axis=1), world.served[act].sum(axis=1),
+                   world.power[act].sum(axis=1), world.blocks[act].sum(axis=1)):
+        writer.row(world.frame, episode, timestep, *row)
 
 
 def run_single(cfg: ExperimentConfig, method: str, seed: int,
@@ -169,11 +209,8 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         writers = {
-            "traj": CsvWriter(os.path.join(out_dir, "trajectories.csv"),
-                              ["frame", "ue_id", "grid_x", "grid_y", "x_m", "y_m"]),
-            "clusters": CsvWriter(os.path.join(out_dir, "clusters.csv"),
-                                  ["frame", "ue_id", "cluster", "centroid_x",
-                                   "centroid_y", "k_star", "mean_silhouette"]),
+            "traj": CsvWriter(os.path.join(out_dir, "trajectories.csv"), TRAJECTORY_COLUMNS),
+            "clusters": CsvWriter(os.path.join(out_dir, "clusters.csv"), CLUSTER_COLUMNS),
             "metrics": CsvWriter(os.path.join(out_dir, "metrics.csv"),
                                  ["frame", "episode", "timestep", "uav_id",
                                   "served_count", "reward", "sum_power_w", "sum_blocks"]),
@@ -188,8 +225,6 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
             fh.write(dump_config(cfg, extra))
     run_hash = config_hash(cfg, {"seed": seed, "method": method})
 
-    state = mobility.init_positions(env_cfg.n_ues, grid, seed)
-    prev_centroids: dict[int, np.ndarray] = {}
     frames_out = []
     audit_total = {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")}
     episode_rewards: list[float] = []
@@ -197,52 +232,26 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
     total_steps = cfg.frames * schedule.episodes * schedule.steps_per_episode
     altitude_init = (env_cfg.h_min + env_cfg.h_max) / 2.0
 
-    def metrics_sink_factory(writer):
-        # served_count is the episode's committed coverage; reward is the
-        # instantaneous served count at the logged step.
-        def sink(world, episode, timestep):
-            interval = cfg.metrics_interval
-            if interval > 0 and episode % interval != 0:
-                return
-            for j in world.active_idx:
-                agent = world.agents[j]
-                committed = int(agent.frozen[: agent.n_slots].sum())
-                reward = int(agent.served[: agent.n_slots].sum())
-                writer.row(world.frame, episode, timestep, j, committed, reward,
-                           float(agent.power_alloc.sum()), int(agent.blocks.sum()))
-        return sink
+    def sink(world, episode, timestep):
+        if cfg.metrics_interval > 0 and episode % cfg.metrics_interval != 0:
+            return
+        _write_metrics(writers["metrics"], world, episode, timestep)
 
-    for frame in range(cfg.frames):
-        state = mobility.step_frame(state, grid, seed, frame)
-        pts = mobility.to_physical(state.positions, grid.cell_size_m)
-        clu_rng = seeding.counter_stream(seed, seeding.CLUSTERING, (frame,))
-        plan = clustering.select_k(pts, env_cfg.k_max, clu_rng)
-        plan = clustering.match_to_previous(plan, prev_centroids, env_cfg.k_max)
+    for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
         uav_xyz, active = clustering.place_uavs(plan, altitude_init, env_cfg.k_max)
-        prev_centroids = {plan.active_uavs[c]: plan.centroids[c].copy()
-                          for c in range(plan.k_star)}
-
         world = FrameWorld(env_cfg, cfg.constants, pts, plan, uav_xyz, active,
                            fading, frame, field_size)
-
         if writers is not None:
-            for i in range(env_cfg.n_ues):
-                gx, gy = int(state.positions[i, 0]), int(state.positions[i, 1])
-                writers["traj"].row(frame, i, gx, gy, pts[i, 0], pts[i, 1])
-            for i in range(env_cfg.n_ues):
-                c = int(plan.assignment[i])
-                writers["clusters"].row(frame, i, c, plan.centroids[c, 0],
-                                        plan.centroids[c, 1], plan.k_star,
-                                        plan.silhouette_mean)
+            _write_frame(writers["traj"], writers["clusters"], frame, state, pts, plan)
 
         if method != "static":
             maddpg.buffer.clear()
             if dqns is not None:
                 dqns.clear_buffers()
-            sink = metrics_sink_factory(writers["metrics"]) if writers else None
             records = train_frame(world, maddpg, dqns, schedule, expl_rng,
                                   step_offset=frame * schedule.episodes * schedule.steps_per_episode,
-                                  total_steps=total_steps, metrics_sink=sink)
+                                  total_steps=total_steps,
+                                  metrics_sink=sink if writers else None)
             for rec in records:
                 episode_rewards.append(rec.mean_reward)
                 if writers is not None:
@@ -260,14 +269,7 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
             eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
             result = evaluate_frame_static(world, schedule, eval_steps)
             if writers is not None:
-                for j in world.active_idx:
-                    agent = world.agents[j]
-                    committed = int(agent.frozen[: agent.n_slots].sum())
-                    reward = int(agent.served[: agent.n_slots].sum())
-                    writers["metrics"].row(frame, 0, schedule.steps_per_episode - 1, j,
-                                           committed, reward,
-                                           float(agent.power_alloc.sum()),
-                                           int(agent.blocks.sum()))
+                sink(world, 0, schedule.steps_per_episode - 1)
 
         for c in audit_total:
             audit_total[c] += world.audit[c]
@@ -350,29 +352,12 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
 
 def run_simulation(cfg: ExperimentConfig, seed: int, out_dir: str):
     """Mobility and clustering streams only (no radio, no learning)."""
-    env_cfg = cfg.env
     grid = _grid_for(cfg, seed)
     os.makedirs(out_dir, exist_ok=True)
-    traj = CsvWriter(os.path.join(out_dir, "trajectories.csv"),
-                     ["frame", "ue_id", "grid_x", "grid_y", "x_m", "y_m"])
-    clus = CsvWriter(os.path.join(out_dir, "clusters.csv"),
-                     ["frame", "ue_id", "cluster", "centroid_x", "centroid_y",
-                      "k_star", "mean_silhouette"])
-    state = mobility.init_positions(env_cfg.n_ues, grid, seed)
-    prev: dict[int, np.ndarray] = {}
-    for frame in range(cfg.frames):
-        state = mobility.step_frame(state, grid, seed, frame)
-        pts = mobility.to_physical(state.positions, grid.cell_size_m)
-        clu_rng = seeding.counter_stream(seed, seeding.CLUSTERING, (frame,))
-        plan = clustering.select_k(pts, env_cfg.k_max, clu_rng)
-        plan = clustering.match_to_previous(plan, prev, env_cfg.k_max)
-        prev = {plan.active_uavs[c]: plan.centroids[c].copy() for c in range(plan.k_star)}
-        for i in range(env_cfg.n_ues):
-            gx, gy = int(state.positions[i, 0]), int(state.positions[i, 1])
-            traj.row(frame, i, gx, gy, pts[i, 0], pts[i, 1])
-            c = int(plan.assignment[i])
-            clus.row(frame, i, c, plan.centroids[c, 0], plan.centroids[c, 1],
-                     plan.k_star, plan.silhouette_mean)
+    traj = CsvWriter(os.path.join(out_dir, "trajectories.csv"), TRAJECTORY_COLUMNS)
+    clus = CsvWriter(os.path.join(out_dir, "clusters.csv"), CLUSTER_COLUMNS)
+    for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
+        _write_frame(traj, clus, frame, state, pts, plan)
     traj.close()
     clus.close()
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:

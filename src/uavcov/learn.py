@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .env import EnvConfig, FrameWorld
+from .env import EnvConfig, FrameWorld, masked_softmax
 from .nn import Adam, Mlp, soft_update
 
 CHECKPOINT_MAGIC = b"UAVCOV-CKPT-1\n"
@@ -111,20 +111,12 @@ class ReplayBuffer:
 
 # ----- action squashing (shared by action selection and the actor update) -----
 
-def batch_masked_softmax(z: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(z)
-    za = z[:, mask]
-    za = np.exp(za - za.max(axis=1, keepdims=True))
-    out[:, mask] = za / za.sum(axis=1, keepdims=True)
-    return out
-
-
 def squash_raw_actions(raw: np.ndarray, mask: np.ndarray, slots: int, bw_head: bool) -> np.ndarray:
     """Raw actor outputs -> normalized bounded actions [alt01, power fracs(, bw fracs)]."""
     alt01 = (np.tanh(raw[:, 0]) + 1.0) / 2.0
-    parts = [alt01[:, None], batch_masked_softmax(raw[:, 1:1 + slots], mask)]
+    parts = [alt01[:, None], masked_softmax(raw[:, 1:1 + slots], mask)]
     if bw_head:
-        parts.append(batch_masked_softmax(raw[:, 1 + slots:1 + 2 * slots], mask))
+        parts.append(masked_softmax(raw[:, 1 + slots:1 + 2 * slots], mask))
     return np.concatenate(parts, axis=1)
 
 
@@ -236,7 +228,7 @@ class MaddpgLearner:
             obs_m = next_obs[:, m * cfg.obs_dim:(m + 1) * cfg.obs_dim]
             raw = self.actor_targets[m].forward(obs_m)
             acts[:, m * self.act_dim:(m + 1) * self.act_dim] = squash_raw_actions(
-                raw, world.agents[m].mask, cfg.slots, self.bw_head)
+                raw, world.mask[m], cfg.slots, self.bw_head)
         return acts
 
     def update(self, world: FrameWorld, rng: np.random.Generator) -> dict[int, tuple[float, float]]:
@@ -267,7 +259,7 @@ class MaddpgLearner:
             # Actor: ascend the critic with own action replaced, others sampled.
             obs_j = obs[:, j * cfg.obs_dim:(j + 1) * cfg.obs_dim]
             raw, actor_cache = self.actors[j].forward_cached(obs_j)
-            mask = world.agents[j].mask
+            mask = world.mask[j]
             squashed = squash_raw_actions(raw, mask, cfg.slots, self.bw_head)
             acts_new = acts.copy()
             acts_new[:, j * self.act_dim:(j + 1) * self.act_dim] = squashed
@@ -415,7 +407,7 @@ class DqnPool:
     """One Q-net (plus target/optimizer/buffer) per (UAV, user slot).
 
     Nets live as rows of a StackedQnets and persist across frames; replay
-    buffers are per slot and cleared at frame boundaries.
+    buffers are per slot and dropped at frame boundaries.
     """
 
     def __init__(self, cfg: EnvConfig, schedule: TrainSchedule, init_rng: np.random.Generator):
@@ -445,8 +437,7 @@ class DqnPool:
         return self.buffers[key]
 
     def clear_buffers(self):
-        for buf in self.buffers.values():
-            buf.clear()
+        self.buffers = {}
 
     def select_many(self, keys: list[tuple[int, int]], states: np.ndarray,
                     epsilon: float, rng: np.random.Generator | None) -> np.ndarray:
@@ -508,10 +499,8 @@ class EpisodeRecord:
 
 @dataclass
 class FrameResult:
-    episodes: list[EpisodeRecord] = field(default_factory=list)
     served_total: float = 0.0
     served_per_agent: list[int] = field(default_factory=list)
-    final_blocks: dict[tuple[int, int], int] = field(default_factory=dict)
     sum_power: float = 0.0
     sum_blocks: int = 0
 
@@ -522,15 +511,14 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
                 metrics_sink=None) -> list[EpisodeRecord]:
     """Run the episode/timestep loops of one frame on its static snapshot."""
     cfg = world.cfg
+    S = cfg.slots
     use_dqn = dqns is not None
+    all_keys = list(zip(*(a.tolist() for a in np.nonzero(world.mask))))
     records = []
     for e in range(schedule.episodes):
         world.reset_episode(equal_blocks=not use_dqn)
         obs = world.maddpg_obs()
-        search_steps: dict[tuple[int, int], int | None] = {}
-        for j in world.active_idx:
-            for s in range(world.agents[j].n_slots):
-                search_steps[(j, s)] = None
+        search_steps = np.zeros_like(world.blocks)   # step of first service, 0 while unserved
         reward_sum = 0.0
         for t in range(schedule.steps_per_episode):
             gstep = step_offset + e * schedule.steps_per_episode + t
@@ -540,58 +528,47 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
             joint_act = np.zeros((cfg.k_max, maddpg.act_dim))
             for j in world.active_idx:
                 raw = maddpg_select_action(maddpg.actors[j], obs[j], sigma, expl_rng)
-                S = cfg.slots
                 bw = raw[1 + S:1 + 2 * S] if maddpg.bw_head else None
                 joint_act[j] = world.apply_maddpg_action(j, raw[0], raw[1:1 + S], bw)
 
-            pending = []
+            keys = []
             if use_dqn:
-                fresh = world.maddpg_obs()
-                keys, states = [], []
-                for j in world.active_idx:
-                    agent = world.agents[j]
-                    for s in range(agent.n_slots):
-                        if agent.frozen[s]:
-                            continue
-                        keys.append((j, s))
-                        states.append(world.dqn_obs(fresh[j], j, s))
+                js, ss = np.nonzero(world.mask & ~world.frozen)
+                keys = list(zip(js.tolist(), ss.tolist()))
                 if keys:
-                    actions = dqns.select_many(keys, np.asarray(states), eps, expl_rng)
-                    for (j, s), state, a_idx in zip(keys, states, actions):
+                    states = world.dqn_obs(world.maddpg_obs(), js, ss)
+                    actions = dqns.select_many(keys, states, eps, expl_rng).tolist()
+                    for (j, s), a_idx in zip(keys, actions):
                         world.apply_block_action(j, s, BLOCK_ACTIONS[a_idx])
-                        pending.append((j, s, state, int(a_idx)))
 
             _, _, rewards, ue_rewards = world.evaluate(e, t)
             next_obs = world.maddpg_obs()
             last_step = t == schedule.steps_per_episode - 1
 
-            for j, s, state, a_idx in pending:
-                agent = world.agents[j]
-                served_now = bool(agent.served[s])
-                if served_now and search_steps[(j, s)] is None:
-                    search_steps[(j, s)] = t + 1
-                dqns.ensure(j, s).add(
-                    state=state, action=a_idx, reward=ue_rewards[agent.slot_ues[s]],
-                    next_state=world.dqn_obs(next_obs[j], j, s),
-                    done=float(served_now or last_step))
+            if keys:
+                served_now = world.served[js, ss]
+                search_steps[js[served_now], ss[served_now]] = t + 1
+                next_states = world.dqn_obs(next_obs, js, ss)
+                slot_rewards = ue_rewards[world.slot_ues[js, ss]]
+                for i, (j, s) in enumerate(keys):
+                    dqns.ensure(j, s).add(
+                        state=states[i], action=actions[i], reward=slot_rewards[i],
+                        next_state=next_states[i], done=float(served_now[i] or last_step))
             maddpg.store(obs, joint_act, rewards, next_obs, last_step)
 
             if (t + 1) % schedule.update_interval == 0:
                 maddpg.update(world, expl_rng)
             if use_dqn and (t + 1) % schedule.dqn_update_interval == 0 and maddpg.ready():
-                all_keys = [(j, s) for j in world.active_idx
-                            for s in range(world.agents[j].n_slots)]
                 dqns.update_many(all_keys, expl_rng)
 
             obs = next_obs
             reward_sum += float(rewards.sum())
 
-        steps = [v if v is not None else schedule.steps_per_episode
-                 for v in search_steps.values()]
+        steps = np.where(search_steps > 0, search_steps, schedule.steps_per_episode)[world.mask]
         rec = EpisodeRecord(
             frame=world.frame, episode=e,
             mean_reward=reward_sum / schedule.steps_per_episode,
-            mean_search_steps=float(np.mean(steps)) if steps else 0.0,
+            mean_search_steps=float(np.mean(steps)) if steps.size else 0.0,
             committed=world.committed_total(),
         )
         records.append(rec)
@@ -602,16 +579,13 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
 
 def frame_snapshot(world: FrameWorld) -> FrameResult:
     """Committed coverage and allocation totals of the world's current state."""
-    result = FrameResult()
-    result.served_total = world.committed_total()
-    result.served_per_agent = world.committed_per_agent()
-    for j in world.active_idx:
-        agent = world.agents[j]
-        result.sum_power += float(agent.power_alloc.sum())
-        result.sum_blocks += int(agent.blocks.sum())
-        for s in range(agent.n_slots):
-            result.final_blocks[(j, s)] = int(agent.blocks[s])
-    return result
+    act = world.active_idx
+    return FrameResult(
+        served_total=world.committed_total(),
+        served_per_agent=world.committed_per_agent(),
+        sum_power=sum(float(p) for p in world.power[act].sum(axis=1)),
+        sum_blocks=int(world.blocks.sum()),
+    )
 
 
 def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,

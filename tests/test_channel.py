@@ -5,11 +5,50 @@ import pytest
 
 from uavcov import channel
 from uavcov.channel import (EnvConstants, FadingField, achievable_rate,
-                            effective_power, interference_at, link_geometry,
-                            los_probability, received_power, sample_fading,
-                            service_indicator)
+                            effective_power, link_geometry, los_probability,
+                            received_power, rayleigh_power_gain, rician_power_gain)
+from uavcov.env import EnvConfig
+
+from conftest import build_world
 
 ENV = EnvConstants()
+
+
+class StubFading:
+    """Fading field with fixed (rician, rayleigh) gain matrices at every step."""
+
+    def __init__(self, g, k):
+        self.g, self.k = np.asarray(g, dtype=float), np.asarray(k, dtype=float)
+
+    def draw(self, frame, episode, step):
+        return self.g, self.k
+
+
+def stub_world(ue_xy, labels, g, k, **env_kw):
+    world = build_world(ue_xy, labels, **env_kw)
+    world.fading = StubFading(g, k)
+    world.reset_episode(equal_blocks=True)
+    return world
+
+
+def expected_rates(world, interferers):
+    """Each UE's rate from the scalar link budget, with interference summed over
+    interferers(i, serving uav) -> [(p_avg, rayleigh gain, uav)]."""
+    cfg = world.cfg
+    g, _ = world.fading.draw(0, 0, 0)
+    rates = []
+    for i, xy in enumerate(world.ue_xy):
+        j, s = world.uav_of_ue[i], world.slot_of_ue[i]
+        geom = link_geometry(xy, (*world.xy[j], world.h[j]))
+        p = world.power[j, s]
+        p_eff = effective_power(los_probability(geom.theta, ENV),
+                                received_power(p, geom.r, g[i, j], ENV.alpha_los),
+                                received_power(p, geom.r, world.fading.k[i, j], ENV.alpha_nlos))
+        inter = sum(p_avg * gain * link_geometry(xy, (*world.xy[m], world.h[m])).r
+                    ** (-ENV.alpha_nlos) for p_avg, gain, m in interferers(i, j))
+        rates.append(achievable_rate(world.blocks[j, s] * cfg.block_size, p_eff, inter,
+                                     ENV.noise_power))
+    return np.array(rates)
 
 
 def test_link_geometry_vertical():
@@ -101,21 +140,38 @@ def test_effective_power_examples_and_bounds():
 
 
 def test_interference_examples():
-    assert interference_at([], [], [], ENV.alpha_nlos) == 0.0
-    assert interference_at([0.0], [1.0], [500.0], ENV.alpha_nlos) == 0.0
-    assert interference_at([0.2], [1.0], [500.0], ENV.alpha_nlos) == pytest.approx(3.2e-12, rel=1e-9)
+    # two UAVs under unit gains: each UE hears the other UAV at p_max / n_slots
+    pts = [[0.0, 0.0], [600.0, 0.0], [1500.0, 0.0], [3000.0, 300.0], [3300.0, 0.0]]
+    labels = [0, 0, 0, 1, 1]
+    world = stub_world(pts, labels, np.ones((5, 5)), np.ones((5, 5)))
+    cfg = world.cfg
+    rates, served, _, _ = world.evaluate(0, 0)
+    expect = expected_rates(world, lambda i, j: [(cfg.p_max / world.n_slots[1 - j], 1.0, 1 - j)])
+    assert rates == pytest.approx(expect, rel=1e-12)
+    assert np.array_equal(served, expect >= cfg.r_th)
+    # one UAV alone hears no interference
+    solo = stub_world(pts[:3], [0, 0, 0], np.ones((3, 5)), np.ones((3, 5)))
+    rates, _, _, _ = solo.evaluate(0, 0)
+    assert rates == pytest.approx(expected_rates(solo, lambda i, j: []), rel=1e-12)
 
 
 def test_interference_additivity():
-    rng = np.random.default_rng(19)
-    for _ in range(100):
-        n = rng.integers(1, 6)
-        p = rng.uniform(0.0, 1.0, n)
-        g = rng.uniform(0.0, 3.0, n)
-        r = rng.uniform(100.0, 5e3, n)
-        total = interference_at(p, g, r, ENV.alpha_nlos)
-        singles = sum(interference_at([p[i]], [g[i]], [r[i]], ENV.alpha_nlos) for i in range(n))
-        assert total == pytest.approx(singles, rel=1e-12)
+    # three UAVs, arbitrary gains: interference is the sum over the two others
+    for mode in ("budget", "allocated"):
+        rng = np.random.default_rng(19)
+        pts = rng.uniform(0.0, 6000.0, (9, 2))
+        labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
+        world = stub_world(pts, labels, rng.uniform(0.1, 3.0, (9, 5)),
+                           rng.uniform(0.1, 3.0, (9, 5)), p_avg_mode=mode)
+        for j in world.active_idx:
+            world.apply_maddpg_action(j, rng.normal(), rng.normal(0.0, 2.0, world.cfg.slots))
+        p_avg = world.interferer_power()
+        if mode == "budget":
+            assert p_avg == pytest.approx([1 / 3] * 3, rel=1e-12)
+        rates, _, _, _ = world.evaluate(0, 0)
+        expect = expected_rates(world, lambda i, j: [(p_avg[m], world.fading.k[i, m], m)
+                                                     for m in world.active_idx if m != j])
+        assert rates == pytest.approx(expect, rel=1e-12)
 
 
 def test_achievable_rate_examples():
@@ -137,12 +193,22 @@ def test_achievable_rate_monotonicity():
         assert achievable_rate(bw, p, i + 1e-13, ENV.noise_power) <= base
 
 
-def test_service_indicator():
-    assert service_indicator(5e6, 5e6) == 1
-    assert service_indicator(0.0, 5e6) == 0
-    assert service_indicator(5.1e6, 5e6) == 1
+def test_evaluate_threshold_inclusive(world_factory):
+    # re-evaluating the same (episode, step) with r_th at a UE's exact rate serves it
+    world = world_factory([[0.0, 0.0], [600.0, 0.0], [9000.0, 0.0]], [0, 0, 1], seed=3)
+    world.reset_episode(equal_blocks=True)
+    rates, _, _, _ = world.evaluate(2, 7)
+    assert np.all(rates > 0.0)
+    for i, rate in enumerate(rates):
+        for r_th, expect in ((rate, True), (np.nextafter(rate, np.inf), False)):
+            world.cfg.r_th = float(r_th)
+            world.reset_episode(equal_blocks=True)
+            again, served, rewards, _ = world.evaluate(2, 7)
+            assert np.array_equal(again, rates)
+            assert served[i] == expect
+            assert rewards.sum() == served.sum()
     with pytest.raises(ValueError):
-        service_indicator(1.0, 0.0)
+        EnvConfig(r_th=0.0)
 
 
 def test_fading_determinism():
@@ -156,8 +222,8 @@ def test_fading_determinism():
 
 def test_fading_unit_means():
     rng = np.random.default_rng(29)
-    ray = sample_fading("rayleigh", rng, ENV, size=10 ** 6)
-    ric = sample_fading("rician", rng, ENV, size=10 ** 6)
+    ray = rayleigh_power_gain(rng, size=10 ** 6)
+    ric = rician_power_gain(rng, ENV.rician_k_db, size=10 ** 6)
     assert np.all(ray >= 0.0) and np.all(ric >= 0.0)
     assert abs(ray.mean() - 1.0) < 0.01
     assert abs(ric.mean() - 1.0) < 0.01
@@ -185,20 +251,3 @@ def test_vectorized_matches_scalar():
             assert d[i, j] == pytest.approx(g.d, rel=1e-12, abs=1e-12)
             assert r[i, j] == pytest.approx(g.r, rel=1e-12)
             assert theta[i, j] == pytest.approx(g.theta, rel=1e-12)
-
-
-def test_link_budget_composition():
-    from uavcov.channel import FadingDraw, link_budget
-    rng = np.random.default_rng(37)
-    for _ in range(50):
-        ue = rng.uniform(0, 2e4, 2)
-        uav = np.append(rng.uniform(0, 2e4, 2), rng.uniform(300, 1000))
-        draw = FadingDraw(g=float(rng.uniform(0.1, 3)), k=float(rng.uniform(0.1, 3)))
-        lb = link_budget(ue, uav, 0.2, draw, 3.6e5, 1e-14, ENV)
-        assert 0.0 < lb.p_los < 1.0
-        lo, hi = sorted((lb.power_los, lb.power_nlos))
-        assert lo <= lb.power_eff <= hi
-        assert lb.rate >= 0.0 and lb.interference >= 0.0
-    # zero bandwidth kills the rate but not the budget
-    lb = link_budget((0.0, 0.0), (0.0, 0.0, 500.0), 0.1, FadingDraw(1.0, 1.0), 0.0, 0.0, ENV)
-    assert lb.rate == 0.0 and lb.power_eff > 0.0

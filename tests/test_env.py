@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uavcov.channel import EnvConstants, effective_power, los_probability, received_power
-from uavcov.env import EnvConfig, map_altitude, map_power
+from uavcov.env import EnvConfig, map_altitude, masked_softmax
 from uavcov.experiment import oracle_min_blocks
 
 CONSTS = EnvConstants()
@@ -25,27 +25,39 @@ def test_map_altitude_always_in_range():
         assert 300.0 <= h <= 1000.0
 
 
-def test_map_power_examples():
+def test_masked_softmax_power_examples():
     mask = np.array([True, True, True, False])
-    p = map_power(np.zeros(4), mask, 1.0)
+    p = masked_softmax(np.zeros(4), mask) * 1.0
     assert p[:3] == pytest.approx([1 / 3] * 3)
     assert p[3] == 0.0
-    single = map_power(np.array([5.0, 1.0]), np.array([False, True]), 0.7)
+    single = masked_softmax(np.array([5.0, 1.0]), np.array([False, True])) * 0.7
     assert single[0] == 0.0 and single[1] == pytest.approx(0.7)
-    two = map_power(np.array([np.log(2.0), 0.0]), np.array([True, True]), 1.0)
+    two = masked_softmax(np.array([np.log(2.0), 0.0]), np.array([True, True])) * 1.0
     assert two == pytest.approx([2 / 3, 1 / 3], rel=1e-12)
     with pytest.raises(ValueError):
-        map_power(np.zeros(2), np.zeros(2, dtype=bool), 1.0)
+        masked_softmax(np.zeros(2), np.zeros(2, dtype=bool))
 
 
-def test_map_power_sums_to_budget():
+def test_masked_softmax_rows_match_single_calls():
+    # a batch of logit rows under one mask gives each row's own softmax, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        mask = rng.random(7) < 0.5
+        mask[rng.integers(7)] = True
+        z = rng.normal(0, 5, (4, 7))
+        batch = masked_softmax(z, mask)
+        for row, logits in zip(batch, z):
+            assert np.array_equal(row, masked_softmax(logits, mask))
+
+
+def test_masked_softmax_power_sums_to_budget():
     rng = np.random.default_rng(1)
     for _ in range(200):
         n = int(rng.integers(1, 12))
         mask = np.zeros(12, dtype=bool)
         mask[rng.choice(12, n, replace=False)] = True
         logits = rng.normal(0, 5, 12)
-        p = map_power(logits, mask, 1.0)
+        p = masked_softmax(logits, mask) * 1.0
         assert abs(p.sum() - 1.0) < 1e-9
         assert np.all(p[~mask] == 0.0)
         assert np.all(p >= 0.0)
@@ -65,24 +77,22 @@ def test_env_config_validates():
 def test_block_action_clamps(world_factory):
     world = world_factory([[0.0, 0.0], [300.0, 0.0]], [0, 0])
     world.reset_episode(equal_blocks=False)
-    agent = world.agents[0]
     world.apply_block_action(0, 0, -1)
-    assert agent.blocks[0] == 0
+    assert world.blocks[0, 0] == 0
     for _ in range(250):
         world.apply_block_action(0, 0, +1)
-    assert agent.blocks[0] == 200
+    assert world.blocks[0, 0] == 200
     world.apply_block_action(0, 1, +1)  # budget exhausted by slot 0
-    assert agent.blocks[1] == 0
-    agent.frozen[0] = True
+    assert world.blocks[0, 1] == 0
+    world.frozen[0, 0] = True
     world.apply_block_action(0, 0, -1)
-    assert agent.blocks[0] == 200
+    assert world.blocks[0, 0] == 200
 
 
 def test_zero_power_zero_reward(world_factory):
     world = world_factory([[0.0, 0.0], [600.0, 0.0], [1200.0, 0.0]], [0, 0, 1])
     world.reset_episode(equal_blocks=True)
-    for a in world.agents:
-        a.power_alloc[:] = 0.0
+    world.power[...] = 0.0
     _, served, rewards, ue_rewards = world.evaluate(0, 0)
     assert not served.any()
     assert rewards.sum() == 0.0
@@ -107,23 +117,22 @@ def test_oracle_minimum_blocks_serve_exactly(world_factory):
     world = world_factory([[0.0, 0.0]], [0], uav_xy=[[0.0, 0.0]], seed=5)
     world.reset_episode(equal_blocks=False)
     cfg = world.cfg
-    agent = world.agents[0]
     g, k = world.fading.draw(0, 0, 0)
-    geom_r = np.hypot(0.0, agent.h)
+    geom_r = np.hypot(0.0, world.h[0])
     p_los = los_probability(np.pi / 2, CONSTS)
     p_eff = effective_power(
         p_los,
-        received_power(agent.power_alloc[0], geom_r, g[0, 0], CONSTS.alpha_los),
-        received_power(agent.power_alloc[0], geom_r, k[0, 0], CONSTS.alpha_nlos),
+        received_power(world.power[0, 0], geom_r, g[0, 0], CONSTS.alpha_los),
+        received_power(world.power[0, 0], geom_r, k[0, 0], CONSTS.alpha_nlos),
     )
     oracle = oracle_min_blocks(p_eff, 0.0, CONSTS.noise_power, cfg.r_th,
                                cfg.block_size, cfg.block_limit)
     assert oracle.feasible
-    agent.blocks[0] = int(oracle.blocks)
+    world.blocks[0, 0] = int(oracle.blocks)
     _, served, rewards, _ = world.evaluate(0, 0)
     assert served[0] and rewards[0] == 1.0
     world.reset_episode(equal_blocks=False)
-    agent.blocks[0] = int(oracle.blocks) - 1
+    world.blocks[0, 0] = int(oracle.blocks) - 1
     _, served, _, _ = world.evaluate(0, 0)
     assert not served[0]
 
@@ -131,14 +140,13 @@ def test_oracle_minimum_blocks_serve_exactly(world_factory):
 def test_freeze_latches(world_factory):
     world = world_factory([[0.0, 0.0]], [0], uav_xy=[[0.0, 0.0]])
     world.reset_episode(equal_blocks=False)
-    agent = world.agents[0]
-    agent.blocks[0] = 200
+    world.blocks[0, 0] = 200
     world.evaluate(0, 0)
-    assert agent.served[0] and agent.frozen[0]
+    assert world.served[0, 0] and world.frozen[0, 0]
     world.apply_block_action(0, 0, -1)
-    assert agent.blocks[0] == 200
+    assert world.blocks[0, 0] == 200
     world.reset_episode(equal_blocks=False)
-    assert not agent.frozen[0] and agent.blocks[0] == 0
+    assert not world.frozen[0, 0] and world.blocks[0, 0] == 0
 
 
 def test_observations_bounded_and_padded(world_factory):
@@ -155,11 +163,13 @@ def test_observations_bounded_and_padded(world_factory):
     assert np.all(obs >= -1.0) and np.all(obs <= 1.0)
     # inactive agents and padding slots are zero
     assert np.all(obs[2:] == 0.0)
-    a0 = world.agents[0]
-    assert np.all(obs[0, 1 + a0.n_slots: 1 + cfg.slots] == 0.0)
-    dq = world.dqn_obs(obs[0], 0, 0)
-    assert dq.shape == (cfg.dqn_obs_dim,)
+    assert np.all(obs[0, 1 + world.n_slots[0]: 1 + cfg.slots] == 0.0)
+    js, ss = np.nonzero(world.mask)
+    dq = world.dqn_obs(obs, js, ss)
+    assert dq.shape == (8, cfg.dqn_obs_dim)
     assert np.all(np.isfinite(dq)) and np.all(dq >= -1.0) and np.all(dq <= 1.0)
+    assert np.array_equal(dq[:, :cfg.obs_dim], obs[js])
+    assert np.array_equal(dq[:, -3], world.power[js, ss] / cfg.p_max)
 
 
 def test_constraint_audit_clean(world_factory):
@@ -171,7 +181,7 @@ def test_constraint_audit_clean(world_factory):
     world.reset_episode(equal_blocks=True)
     for j in world.active_idx:
         world.apply_maddpg_action(j, rng.normal(), rng.normal(0, 3, world.cfg.slots))
-        for s in range(world.agents[j].n_slots):
+        for s in range(world.n_slots[j]):
             world.apply_block_action(j, s, int(rng.choice([-1, 1])))
     for t in range(10):
         world.evaluate(0, t)
@@ -182,12 +192,11 @@ def test_applied_action_vector_matches_state(world_factory):
     world = world_factory([[0.0, 0.0], [600.0, 0.0]], [0, 0])
     world.reset_episode(equal_blocks=False)
     vec = world.apply_maddpg_action(0, 0.3, np.array([1.0, -1.0]))
-    agent = world.agents[0]
     cfg = world.cfg
     assert vec.shape == (1 + cfg.slots,)
-    assert vec[0] == pytest.approx((agent.h - cfg.h_min) / (cfg.h_max - cfg.h_min))
-    assert vec[1:] == pytest.approx(agent.power_alloc / cfg.p_max)
-    assert agent.power_alloc.sum() == pytest.approx(cfg.p_max, abs=1e-9)
+    assert vec[0] == pytest.approx((world.h[0] - cfg.h_min) / (cfg.h_max - cfg.h_min))
+    assert vec[1:] == pytest.approx(world.power[0] / cfg.p_max)
+    assert world.power[0].sum() == pytest.approx(cfg.p_max, abs=1e-9)
 
 
 def test_interferer_power_modes(world_factory):

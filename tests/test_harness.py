@@ -118,9 +118,8 @@ def test_static_single_ue_clusters_get_everything(tmp_path):
     world = build_world([[0.0, 0.0], [20000.0, 20000.0]], [0, 1], k_max=2)
     world.reset_episode(equal_blocks=True)
     for j in world.active_idx:
-        agent = world.agents[j]
-        assert agent.power_alloc[0] == pytest.approx(1.0)
-        assert agent.blocks[0] == 200
+        assert world.power[j, 0] == pytest.approx(1.0)
+        assert world.blocks[j, 0] == 200
 
 
 def test_static_threshold_monotonicity():

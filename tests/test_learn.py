@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from uavcov.env import EnvConfig
+from uavcov.env import EnvConfig, masked_softmax
 from uavcov.learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer,
-                          TrainSchedule, batch_masked_softmax, dqn_select_action,
+                          TrainSchedule, dqn_select_action,
                           dqn_update, evaluate_frame_static, frame_snapshot,
                           maddpg_select_action, squash_gradient,
                           squash_raw_actions, train_frame)
@@ -100,10 +100,10 @@ def test_squash_gradient_matches_finite_differences():
             assert analytic[0, i] == pytest.approx(num, rel=1e-4, abs=1e-9)
 
 
-def test_batch_masked_softmax_stability():
+def test_masked_softmax_batch_stability():
     mask = np.array([True, True])
     z = np.array([[1000.0, 999.0]])
-    out = batch_masked_softmax(z, mask)
+    out = masked_softmax(z, mask)
     assert np.isfinite(out).all()
     assert out.sum() == pytest.approx(1.0)
 
@@ -248,10 +248,9 @@ def test_evaluate_frame_static_keeps_reset_allocation():
     world = two_ue_world(seed=11)
     sch = small_schedule(episodes=2, steps_per_episode=5)
     result = evaluate_frame_static(world, sch)
-    agent = world.agents[0]
-    assert agent.h == pytest.approx(650.0)
-    assert np.allclose(agent.power_alloc[:2], 0.5)
-    assert agent.blocks[:2].tolist() == [100, 100]
+    assert world.h[0] == pytest.approx(650.0)
+    assert np.allclose(world.power[0, :2], 0.5)
+    assert world.blocks[0, :2].tolist() == [100, 100]
     assert 0 <= result.served_total <= 2
 
 
@@ -268,7 +267,13 @@ def test_dqn_pool_lazy_and_persistent():
     b1.add(state=np.zeros(cfg.dqn_obs_dim), action=0, reward=0.0,
            next_state=np.zeros(cfg.dqn_obs_dim), done=0.0)
     pool.clear_buffers()
-    assert len(b1) == 0
+    assert pool.buffers == {}
+    init_state = pool.init_rng.bit_generator.state
+    b3 = pool.ensure(0, 1)
+    assert pool.init_rng.bit_generator.state == init_state  # the row is not re-drawn
+    assert b3 is not b1 and len(b3) == 0
+    assert pool.stack.initialized[pool.row_of(0, 1)]
+    assert not pool.stack.initialized[pool.row_of(0, 0)]
 
 
 def test_stacked_qnets_match_single_nets():
