@@ -28,7 +28,7 @@ from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
 from .learn import (DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
                     dqn_select_action, dqn_update, evaluate_frame_static,
-                    frame_snapshot, make_qnet, save_checkpoint, train_frame)
+                    frame_snapshot, save_checkpoint, train_frame, zero_head_mlp)
 from .mobility import GridWorld
 from .nn import Adam
 
@@ -459,7 +459,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
     for li in range(n_links):
         per_block = sample_static_link(link_rng, env_cfg, consts)
         oracle_n = math.ceil(env_cfg.r_th / per_block)
-        net = make_qnet(2, schedule, init_rng)
+        net = zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng)
         target = net.clone()
         opt = Adam(net.params, schedule.dqn_lr)
         buf_cap = min(schedule.buffer_capacity, total)

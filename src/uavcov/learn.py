@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .env import EnvConfig, FrameWorld, masked_softmax
-from .nn import Adam, Mlp, soft_update
+from .nn import BETA1, BETA2, Adam, Mlp, adam_update, backward, blend, forward, soft_update
 
 CHECKPOINT_MAGIC = b"UAVCOV-CKPT-1\n"
 
@@ -178,14 +178,8 @@ class MaddpgLearner:
         self.actors, self.actor_targets, self.actor_opts = [], [], []
         self.critics, self.critic_targets, self.critic_opts = [], [], []
         for _ in range(cfg.k_max):
-            actor = Mlp([cfg.obs_dim] + hidden + [self.act_dim], init_rng)
-            critic = Mlp([critic_in] + hidden + [1], init_rng)
-            # Zeroed heads: the initial policy is exactly the uninformed
-            # allocation (mid altitude, uniform power) and the critic starts
-            # flat, so the actor only moves once the critic carries signal.
-            for net in (actor, critic):
-                net.weights[-1][...] = 0.0
-                net.biases[-1][...] = 0.0
+            actor = zero_head_mlp([cfg.obs_dim] + hidden + [self.act_dim], init_rng)
+            critic = zero_head_mlp([critic_in] + hidden + [1], init_rng)
             self.actors.append(actor)
             self.actor_targets.append(actor.clone())
             self.critics.append(critic)
@@ -284,33 +278,49 @@ class MaddpgLearner:
 
 # ----- per-user DQNs -----
 
-def make_qnet(state_dim: int, schedule: TrainSchedule, rng: np.random.Generator) -> Mlp:
-    """Q-net with a zeroed output layer: all-equal initial values make the
-    +1 tie rule an upward walk, so the serve reward is discovered without
-    relying on random-walk exploration."""
-    net = Mlp([state_dim] + list(schedule.hidden) + [2], rng)
+def zero_head_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
+    """Mlp with a zeroed output layer; the layer's draws are still consumed.
+
+    Q-nets start all-equal, so the +1 tie rule walks upward and the serve
+    reward is discovered without relying on random-walk exploration. Actors
+    start at exactly the uninformed allocation (mid altitude, uniform power)
+    and critics start flat, so an actor only moves once its critic carries
+    signal.
+    """
+    net = Mlp(dims, rng)
     net.weights[-1][...] = 0.0
     net.biases[-1][...] = 0.0
     return net
 
 
+def td_error(q: np.ndarray, q_next: np.ndarray, batch: dict[str, np.ndarray],
+             gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """TD errors of the taken actions and d(mean squared TD error)/dq.
+
+    q and q_next are (..., B, 2), indexed flat over the leading axes;
+    y = r + gamma * (1 - done) * max_a Q'(s', a).
+    """
+    y = batch["reward"][..., 0] + gamma * (1.0 - batch["done"][..., 0]) * q_next.max(axis=-1)
+    taken = np.arange(y.size), batch["action"].ravel().astype(np.int64)
+    td = q.reshape(y.size, -1)[taken].reshape(y.shape) - y
+    grad_out = np.zeros((y.size, q.shape[-1]), q.dtype)
+    grad_out[taken] = (2.0 * td / q.shape[-2]).ravel()
+    return td, grad_out.reshape(q.shape)
+
+
 class StackedQnets:
     """A family of same-architecture Q-nets stored as stacked tensors.
 
-    Row r holds one net's parameters; forward/backward/update run as batched
-    matrix products over all requested rows at once. The math per row is
-    identical to an individual Mlp (the tests assert this), it is just not
-    paid for thirty times per timestep.
+    Row r holds one net's parameters. An update gathers the requested rows,
+    runs the nn kernels over them as one (rows, B, ...) batch and scatters
+    them back, so the math per row is that of an individual Mlp (the tests
+    assert bit equality), just not paid for thirty times per timestep.
     """
 
-    def __init__(self, rows: int, dims: list[int], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 dtype=np.float64):
-        self.rows = rows
+    def __init__(self, rows: int, dims: list[int], lr: float, dtype=np.float64):
         self.dims = list(dims)
         self.dtype = dtype
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.weights = [np.zeros((rows, i, o), dtype) for i, o in zip(dims[:-1], dims[1:])]
         self.biases = [np.zeros((rows, o), dtype) for o in dims[1:]]
         self.t_weights = [np.zeros_like(w) for w in self.weights]
@@ -321,86 +331,49 @@ class StackedQnets:
         self.initialized = np.zeros(rows, dtype=bool)
 
     def init_row(self, row: int, rng: np.random.Generator):
-        """Uniform fan-in init with a zeroed output layer (see make_qnet)."""
+        """Uniform fan-in init with a zeroed output layer (see zero_head_mlp)."""
         if self.initialized[row]:
             return
-        last = len(self.weights) - 1
-        for li, (fan_in, fan_out) in enumerate(zip(self.dims[:-1], self.dims[1:])):
-            bound = 1.0 / np.sqrt(fan_in)
-            if li == last:
-                self.weights[li][row] = 0.0
-                self.biases[li][row] = 0.0
-                rng.uniform(-bound, bound, size=(fan_in, fan_out))  # keep stream aligned
-                rng.uniform(-bound, bound, size=fan_out)
-            else:
-                self.weights[li][row] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-                self.biases[li][row] = rng.uniform(-bound, bound, size=fan_out)
-            self.t_weights[li][row] = self.weights[li][row]
-            self.t_biases[li][row] = self.biases[li][row]
+        net = zero_head_mlp(self.dims, rng)
+        for p, tp, init in zip(self.weights + self.biases, self.t_weights + self.t_biases,
+                               net.weights + net.biases):
+            p[row] = tp[row] = init
         self.initialized[row] = True
-
-    def _forward(self, idx: np.ndarray, x: np.ndarray, weights, biases, cache=None):
-        """x is (m, B, din) against rows idx; returns (m, B, out)."""
-        a = x
-        last = len(weights) - 1
-        if cache is not None:
-            cache.append(a)
-        for li in range(len(weights)):
-            a = a @ weights[li][idx] + biases[li][idx][:, None, :]
-            if li < last:
-                a = np.maximum(a, 0.0)
-            if cache is not None:
-                cache.append(a)
-        return a
 
     def q_values(self, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Online Q-values for one state per row: states (m, din) -> (m, 2)."""
         x = states[:, None, :].astype(self.dtype, copy=False)
-        return self._forward(idx, x, self.weights, self.biases)[:, 0, :]
+        return forward(*_layers([p[idx] for p in self.weights + self.biases]), x)[:, 0, :]
 
     def update(self, idx: np.ndarray, batch: dict[str, np.ndarray],
                gamma: float, tau: float) -> float:
         """One TD step on rows idx from stacked minibatches (m, B, ...)."""
-        m, B = batch["state"].shape[0], batch["state"].shape[1]
-        q_next = self._forward(idx, batch["next_state"], self.t_weights, self.t_biases)
-        y = batch["reward"][..., 0] + gamma * (1.0 - batch["done"][..., 0]) * q_next.max(axis=2)
-        cache: list[np.ndarray] = []
-        q = self._forward(idx, batch["state"], self.weights, self.biases, cache)
-        actions = batch["action"][..., 0].astype(np.int64)
-        rows_b = np.arange(m)[:, None], np.arange(B)[None, :]
-        td = q[rows_b[0], rows_b[1], actions] - y
-        grad_out = np.zeros_like(q)
-        grad_out[rows_b[0], rows_b[1], actions] = 2.0 * td / B
-        # reverse pass, mirroring Mlp.backward row-wise
-        grads_w, grads_b = [None] * len(self.weights), [None] * len(self.biases)
-        delta = grad_out
-        for li in range(len(self.weights) - 1, -1, -1):
-            if li < len(self.weights) - 1:
-                delta = delta * (cache[li + 1] > 0.0)
-            grads_w[li] = cache[li].transpose(0, 2, 1) @ delta
-            grads_b[li] = delta.sum(axis=1)
-            delta = delta @ self.weights[li][idx].transpose(0, 2, 1)
-        self._adam_step(idx, grads_w + grads_b)
-        for li in range(len(self.weights)):
-            self.t_weights[li][idx] = tau * self.weights[li][idx] + (1 - tau) * self.t_weights[li][idx]
-            self.t_biases[li][idx] = tau * self.biases[li][idx] + (1 - tau) * self.t_biases[li][idx]
+        params = self.weights + self.biases
+        targets = self.t_weights + self.t_biases
+        p_rows = [p[idx] for p in params]
+        t_rows = [t[idx] for t in targets]
+        q_next = forward(*_layers(t_rows), batch["next_state"])
+        acts: list[np.ndarray] = []
+        q = forward(*_layers(p_rows), batch["state"], acts)
+        td, grad_out = td_error(q, q_next, batch, gamma)
+        grads_w, grads_b, _ = backward(p_rows[:len(self.weights)], acts, grad_out)
+        self.t[idx] += 1
+        b1t = (1.0 - BETA1 ** self.t[idx]).astype(self.dtype)
+        b2t = (1.0 - BETA2 ** self.t[idx]).astype(self.dtype)
+        # one parameter's moments at a time keeps the gathered copies small
+        for i, g in enumerate(grads_w + grads_b):
+            p, m, v, tp = p_rows[i], self.m[i][idx], self.v[i][idx], t_rows[i]
+            shape = (-1,) + (1,) * (p.ndim - 1)
+            adam_update(p, g, m, v, b1t.reshape(shape), b2t.reshape(shape), self.lr)
+            blend(tp, p, tau)
+            params[i][idx], targets[i][idx], self.m[i][idx], self.v[i][idx] = p, tp, m, v
         return float(np.mean(td ** 2))
 
-    def _adam_step(self, idx: np.ndarray, grads: list[np.ndarray]):
-        self.t[idx] += 1
-        t = self.t[idx]
-        params = self.weights + self.biases
-        for pi, (p, g) in enumerate(zip(params, grads)):
-            extra = (1,) * (p.ndim - 1)
-            b1t = (1.0 - self.beta1 ** t).astype(self.dtype).reshape(-1, *extra)
-            b2t = (1.0 - self.beta2 ** t).astype(self.dtype).reshape(-1, *extra)
-            m = self.m[pi][idx]
-            v = self.v[pi][idx]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
-            self.m[pi][idx] = m
-            self.v[pi][idx] = v
-            p[idx] -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+
+def _layers(rows: list[np.ndarray]):
+    """Gathered rows [W0.., b0..] as forward's weights and (m, 1, out) biases."""
+    n = len(rows) // 2
+    return rows[:n], [b[:, None, :] for b in rows[n:]]
 
 
 class DqnPool:
@@ -468,18 +441,9 @@ class DqnPool:
 def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
                schedule: TrainSchedule) -> float:
     """One TD step: y = r + gamma * max_a Q'(s',a), squared error, soft update."""
-    states = batch["state"]
-    actions = batch["action"][:, 0].astype(np.int64)
-    rewards = batch["reward"][:, 0]
-    done = batch["done"][:, 0]
-    B = states.shape[0]
-    q_next = target.forward(batch["next_state"]).max(axis=1)
-    y = rewards + schedule.gamma * (1.0 - done) * q_next
-    q, cache = net.forward_cached(states)
-    taken = q[np.arange(B), actions]
-    td = taken - y
-    grad_out = np.zeros_like(q)
-    grad_out[np.arange(B), actions] = 2.0 * td / B
+    q_next = target.forward(batch["next_state"])
+    q, cache = net.forward_cached(batch["state"])
+    td, grad_out = td_error(q, q_next, batch, schedule.gamma)
     grads, _ = net.backward(cache, grad_out)
     opt.step(net.params, grads)
     soft_update(target, net, schedule.tau)
@@ -621,15 +585,10 @@ def _collect_arrays(maddpg: MaddpgLearner, dqns: DqnPool | None) -> dict[str, np
                 arrays[f"maddpg/{i}/{tag}/v{li}"] = v
     if dqns is not None:
         stack = dqns.stack
-        for li, (w, b, tw, tb) in enumerate(zip(stack.weights, stack.biases,
-                                                stack.t_weights, stack.t_biases)):
-            arrays[f"dqn/w{li}"] = w
-            arrays[f"dqn/b{li}"] = b
-            arrays[f"dqn/tw{li}"] = tw
-            arrays[f"dqn/tb{li}"] = tb
-        for pi, (m, v) in enumerate(zip(stack.m, stack.v)):
-            arrays[f"dqn/m{pi}"] = m
-            arrays[f"dqn/v{pi}"] = v
+        for tag, store in (("w", stack.weights), ("b", stack.biases), ("tw", stack.t_weights),
+                           ("tb", stack.t_biases), ("m", stack.m), ("v", stack.v)):
+            for i, a in enumerate(store):
+                arrays[f"dqn/{tag}{i}"] = a
         arrays["dqn/t"] = stack.t
         arrays["dqn/initialized"] = stack.initialized
     return arrays

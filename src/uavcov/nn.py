@@ -1,15 +1,69 @@
-"""Minimal dense-network core: forward, manual reverse-mode gradients, Adam.
+"""Dense-network core: forward, manual reverse-mode gradients, Adam, soft update.
 
-Everything is plain numpy float64. A network is a list of (W, b) layers with
-rectifier hidden activations and a linear output; gradients are computed
-exactly by hand and are validated against finite differences in the tests.
+The kernels work over leading axes, so one net and a stack of nets run the
+same lines: one net's batch is (B, in) against weights (in, out) and biases
+(out,); m stacked nets' batches are (m, B, in) against weights (m, in, out)
+and biases (m, 1, out). Arithmetic stays in the dtype of the arrays given
+(the MADDPG nets are float64, the stacked DQNs float32). Hidden activations
+are rectifiers and the output is linear; gradients are computed exactly by
+hand and are validated against finite differences in the tests.
 """
+
+import copy
 
 import numpy as np
 
+# Adam's moment decays and denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
-def relu(x):
-    return np.maximum(x, 0.0)
+
+def forward(weights, biases, x, acts=None):
+    """Forward pass; appends the input and each post-activation to acts if given."""
+    a = x
+    if acts is not None:
+        acts.append(a)
+    last = len(weights) - 1
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        a = a @ w + b
+        if i < last:
+            a = np.maximum(a, 0.0)
+        if acts is not None:
+            acts.append(a)
+    return a
+
+
+def backward(weights, acts, delta):
+    """Exact gradients of a scalar loss from d(loss)/d(output) and forward's acts.
+
+    Returns (weight grads, bias grads, d(loss)/d(input)).
+    """
+    last = len(weights) - 1
+    grads_w = [None] * len(weights)
+    grads_b = [None] * len(weights)
+    for i in range(last, -1, -1):
+        if i < last:
+            delta = delta * (acts[i + 1] > 0.0)  # relu mask on post-activations
+        grads_w[i] = acts[i].swapaxes(-1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        delta = delta @ weights[i].swapaxes(-1, -2)
+    return grads_w, grads_b, delta
+
+
+def adam_update(p, g, m, v, b1t, b2t, lr):
+    """One Adam step on p, m and v in place; b1t, b2t are 1 - beta**t."""
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * g * g
+    p -= lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+
+
+def blend(target, online, tau):
+    """Soft update in place: target <- (1 - tau) * target + tau * online."""
+    target *= 1.0 - tau
+    target += tau * online
 
 
 class Mlp:
@@ -28,42 +82,25 @@ class Mlp:
 
     @property
     def params(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Plain forward pass; x is (batch, in) or (in,)."""
-        a = np.asarray(x, dtype=float)
-        squeeze = a.ndim == 1
-        if squeeze:
-            a = a[None, :]
-        if a.shape[1] != self.dims[0]:
-            raise ValueError(f"input dim {a.shape[1]} != {self.dims[0]}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < last:
-                a = relu(a)
-        return a[0] if squeeze else a
-
-    def forward_cached(self, x: np.ndarray):
-        """Forward pass keeping post-activation values for backward()."""
+    def _batch(self, x) -> np.ndarray:
         a = np.asarray(x, dtype=float)
         if a.ndim == 1:
             a = a[None, :]
         if a.shape[1] != self.dims[0]:
             raise ValueError(f"input dim {a.shape[1]} != {self.dims[0]}")
-        acts = [a]
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            a = a @ w + b
-            if i < last:
-                a = relu(a)
-            acts.append(a)
-        return acts[-1], acts
+        return a
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        """Plain forward pass; x is (batch, in) or (in,)."""
+        out = forward(self.weights, self.biases, self._batch(x))
+        return out[0] if np.ndim(x) == 1 else out
+
+    def forward_cached(self, x: np.ndarray):
+        """Forward pass keeping post-activation values for backward()."""
+        acts = []
+        return forward(self.weights, self.biases, self._batch(x), acts), acts
 
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray):
         """Exact gradients of a scalar loss given d(loss)/d(output).
@@ -73,46 +110,19 @@ class Mlp:
         """
         if acts is None or len(acts) != len(self.weights) + 1:
             raise ValueError("backward() needs the cache from forward_cached()")
-        delta = np.asarray(grad_out, dtype=float)
-        if delta.ndim == 1:
-            delta = delta[None, :]
-        grads_w = [None] * len(self.weights)
-        grads_b = [None] * len(self.biases)
-        for i in range(len(self.weights) - 1, -1, -1):
-            if i < len(self.weights) - 1:
-                delta = delta * (acts[i + 1] > 0.0)  # relu mask on post-activations
-            grads_w[i] = acts[i].T @ delta
-            grads_b[i] = delta.sum(axis=0)
-            delta = delta @ self.weights[i].T
-        flat = []
-        for gw, gb in zip(grads_w, grads_b):
-            flat.append(gw)
-            flat.append(gb)
-        return flat, delta
-
-    def copy_from(self, other: "Mlp"):
-        if self.dims != other.dims:
-            raise ValueError("architecture mismatch")
-        for mine, theirs in zip(self.params, other.params):
-            mine[...] = theirs
+        grads_w, grads_b, grad_in = backward(self.weights, acts,
+                                             np.asarray(grad_out, dtype=float))
+        return [g for pair in zip(grads_w, grads_b) for g in pair], grad_in
 
     def clone(self) -> "Mlp":
-        dup = Mlp.__new__(Mlp)
-        dup.dims = list(self.dims)
-        dup.weights = [w.copy() for w in self.weights]
-        dup.biases = [b.copy() for b in self.biases]
-        return dup
+        return copy.deepcopy(self)
 
 
 class Adam:
     """Adaptive-moment optimizer with bias correction."""
 
-    def __init__(self, params: list[np.ndarray], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[np.ndarray], lr: float):
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -120,14 +130,10 @@ class Adam:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
         """Update params in place from grads (same layout as construction)."""
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            adam_update(p, g, m, v, b1t, b2t, self.lr)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float):
@@ -135,5 +141,4 @@ def soft_update(target: Mlp, online: Mlp, tau: float):
     if target.dims != online.dims:
         raise ValueError("architecture mismatch")
     for tp, op in zip(target.params, online.params):
-        tp *= 1.0 - tau
-        tp += tau * op
+        blend(tp, op, tau)

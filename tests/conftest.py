@@ -7,6 +7,17 @@ from uavcov.channel import EnvConstants, FadingField
 from uavcov.clustering import ClusterPlan
 from uavcov.env import EnvConfig, FrameWorld
 
+# "[acceptance] ... PASS/FAIL" detail lines, one per acceptance criterion run.
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Print the acceptance lines after the run, where output capture cannot hide them."""
+    if ACCEPTANCE_LINES:
+        terminalreporter.section("acceptance")
+        for line in ACCEPTANCE_LINES:
+            terminalreporter.write_line(line)
+
 
 def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, **env_kw):
     """FrameWorld over explicit UE positions and cluster assignment.

@@ -23,28 +23,16 @@ from uavcov.experiment import block_search_benchmark, run_single
 from uavcov.learn import TrainSchedule
 from uavcov.nn import Mlp
 
+from conftest import ACCEPTANCE_LINES
+
 getcontext().prec = 50
 
 CONSTS = EnvConstants()
 
 
-_terminal = None
-
-
-@pytest.fixture(autouse=True)
-def _grab_terminal(request):
-    global _terminal
-    _terminal = request.config.pluginmanager.get_plugin("terminalreporter")
-    yield
-
-
 def _report(name, ok, detail=""):
-    line = f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}"
-    # route through the terminal reporter so the line shows without -s
-    if _terminal is not None:
-        _terminal.write_line("\n" + line)
-    else:
-        print(line)
+    # printed by conftest's terminal summary, so the line shows without -s
+    ACCEPTANCE_LINES.append(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'} {detail}")
     assert ok, f"{name}: {detail}"
 
 

@@ -8,7 +8,8 @@ from uavcov.learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer,
                           TrainSchedule, dqn_select_action,
                           dqn_update, evaluate_frame_static, frame_snapshot,
                           maddpg_select_action, squash_gradient,
-                          squash_raw_actions, train_frame)
+                          squash_raw_actions, td_error, train_frame)
+from uavcov import nn
 from uavcov.nn import Adam, Mlp
 
 from conftest import build_world
@@ -278,7 +279,7 @@ def test_dqn_pool_lazy_and_persistent():
 
 def test_stacked_qnets_match_single_nets():
     # a stacked update on two rows must equal two independent Mlp updates
-    from uavcov.learn import StackedQnets, make_qnet
+    from uavcov.learn import StackedQnets, zero_head_mlp
     sch = small_schedule(gamma=0.9, lr=1e-3, tau=0.05)
     dims = [3, 8, 8, 2]
     rng = np.random.default_rng(0)
@@ -287,10 +288,10 @@ def test_stacked_qnets_match_single_nets():
     for row in (1, 3):
         rng_i = np.random.default_rng(100 + row)
         stack.init_row(row, rng_i)
-        net = make_qnet(3, small_schedule(hidden=(8, 8)), np.random.default_rng(100 + row))
+        net = zero_head_mlp(dims, np.random.default_rng(100 + row))
         singles.append({"net": net, "target": net.clone(), "opt": Adam(net.params, sch.lr)})
         for li in range(len(net.weights)):
-            assert np.allclose(stack.weights[li][row], net.weights[li])
+            assert np.array_equal(stack.weights[li][row], net.weights[li])
 
     data_rng = np.random.default_rng(7)
     batch = {
@@ -304,7 +305,7 @@ def test_stacked_qnets_match_single_nets():
     x = data_rng.normal(size=(2, 3))
     q_stack = stack.q_values(idx, x)
     for r, ent in enumerate(singles):
-        assert np.allclose(q_stack[r], ent["net"].forward(x[r]), atol=1e-12)
+        assert np.array_equal(q_stack[r], ent["net"].forward(x[r]))
     for _ in range(3):
         stack.update(idx, batch, sch.gamma, sch.tau)
         for r, ent in enumerate(singles):
@@ -312,9 +313,9 @@ def test_stacked_qnets_match_single_nets():
             dqn_update(ent["net"], ent["target"], ent["opt"], single_batch, sch)
     for r, (row, ent) in enumerate(zip((1, 3), singles)):
         for li in range(len(ent["net"].weights)):
-            assert np.allclose(stack.weights[li][row], ent["net"].weights[li], atol=1e-10)
-            assert np.allclose(stack.t_weights[li][row], ent["target"].weights[li], atol=1e-10)
-            assert np.allclose(stack.biases[li][row], ent["net"].biases[li], atol=1e-10)
+            assert np.array_equal(stack.weights[li][row], ent["net"].weights[li])
+            assert np.array_equal(stack.t_weights[li][row], ent["target"].weights[li])
+            assert np.array_equal(stack.biases[li][row], ent["net"].biases[li])
 
 
 def test_stacked_qnets_gradients_match_finite_differences():
@@ -335,8 +336,12 @@ def test_stacked_qnets_gradients_match_finite_differences():
         "done": np.ones((2, 4, 1)),
     }
 
+    def rows():
+        return ([w[idx] for w in stack.weights],
+                [b[idx][:, None, :] for b in stack.biases])
+
     def td_loss():
-        q = stack._forward(idx, batch["state"], stack.weights, stack.biases)
+        q = nn.forward(*rows(), batch["state"])
         a = batch["action"][..., 0].astype(int)
         taken = q[np.arange(2)[:, None], np.arange(4)[None, :], a]
         y = batch["reward"][..., 0]  # done=1 everywhere: no bootstrap
@@ -360,22 +365,18 @@ def test_stacked_qnets_gradients_match_finite_differences():
             gflat[i] = (lp - lm) / (2 * h)
         numeric.append(g)
 
-    # reproduce the analytic gradients exactly as update() computes them
-    cache = []
-    q = stack._forward(idx, batch["state"], stack.weights, stack.biases, cache)
+    # the analytic gradients as update() computes them: td_error, then nn.backward
+    acts = []
+    weights, biases = rows()
+    q = nn.forward(weights, biases, batch["state"], acts)
     a = batch["action"][..., 0].astype(int)
     y = batch["reward"][..., 0]
     td = q[np.arange(2)[:, None], np.arange(4)[None, :], a] - y
     grad_out = np.zeros_like(q)
     grad_out[np.arange(2)[:, None], np.arange(4)[None, :], a] = 2.0 * td / 4
-    grads_w, grads_b = [None] * len(stack.weights), [None] * len(stack.biases)
-    delta = grad_out
-    for li in range(len(stack.weights) - 1, -1, -1):
-        if li < len(stack.weights) - 1:
-            delta = delta * (cache[li + 1] > 0.0)
-        grads_w[li] = cache[li].transpose(0, 2, 1) @ delta
-        grads_b[li] = delta.sum(axis=1)
-        delta = delta @ stack.weights[li][idx].transpose(0, 2, 1)
+    td_learn, grad_learn = td_error(q, q, batch, 0.9)
+    assert np.array_equal(td_learn, td) and np.array_equal(grad_learn, grad_out)
+    grads_w, grads_b, _ = nn.backward(weights, acts, grad_out)
     for analytic, num in zip(grads_w + grads_b, numeric):
         denom = np.maximum(np.abs(num), 1e-6)
         assert np.max(np.abs(analytic - num) / denom) < 1e-4

@@ -1,0 +1,44 @@
+"""The benchmark's span recorder finds every name it wraps in the program.
+
+perfbench/spans.py patches functions and methods where their callers look
+them up (`vars(owner)[attr]`). A rename or a moved import breaks only traced
+benchmark runs, so this test installs the recorder around a tiny flare run.
+"""
+
+import importlib.util
+import os
+
+from uavcov import clustering, experiment, learn
+
+from test_harness import tiny_config
+
+SPANS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_span_recorder_wraps_a_flare_run_and_restores_every_name(tmp_path):
+    spans = load_spans()
+    pairs = [(owner, attr) for owner, attr, _, _ in spans.SPANS]
+    pairs += [(clustering, "kmeans"), (learn.ReplayBuffer, "__init__"),
+              (learn.MaddpgLearner, "__init__")]
+    originals = {(id(owner), attr): vars(owner)[attr] for owner, attr in pairs}
+
+    recorder = spans.SpanRecorder()
+    try:
+        recorder.install()
+        assert all(vars(owner)[attr] is not originals[id(owner), attr]
+                   for owner, attr in pairs)
+        experiment.run_single(tiny_config(), "flare", 1, str(tmp_path / "run"), quiet=True)
+    finally:
+        recorder.uninstall()
+
+    assert all(vars(owner)[attr] is originals[id(owner), attr] for owner, attr in pairs)
+    metrics = recorder.layer_metrics(1)
+    assert metrics["learn.train_frame_s"] > 0
+    assert metrics["learn.dqn_select_calls"] > 0
