@@ -3,7 +3,9 @@
 Pure functions for geometry, LoS probability, fading, received power and
 achievable rate; FrameWorld.evaluate adds the inter-UAV interference. All
 functions accept scalars or numpy arrays (broadcasting elementwise), so the
-same code evaluates a single test link and a whole frame of links.
+same code evaluates a single test link, a whole frame of links, and a frame
+held over T steps: per-link terms of shape (n,) broadcast against (T, n)
+fading gains, one FadingField.draw per step.
 
 Conventions: distances in meters, powers in watts, bandwidth in Hz, rates in
 bits/s. Fading factors are dimensionless power gains normalized to unit mean,
@@ -59,16 +61,18 @@ def link_geometry(ue_xy, uav_xyz) -> LinkGeometry:
     return LinkGeometry(d=d, r=r, theta=theta)
 
 
-def geometry_arrays(ue_xy, uav_xyz):
-    """Vectorized (d, r, theta) for UE positions (n,2) against UAVs (m,3)."""
+def horizontal_distances(ue_xy, uav_xy):
+    """(n, m) ground distances from UE positions (n,2) to UAV positions (m,2)."""
     ue = np.asarray(ue_xy, dtype=float)
-    uav = np.asarray(uav_xyz, dtype=float)
+    uav = np.asarray(uav_xy, dtype=float)
     diff = ue[:, None, :2] - uav[None, :, :2]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    h = uav[None, :, 2]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def slant_geometry(d, h):
+    """(r, theta) for ground distances d (n, m) to UAVs at altitudes h (m,)."""
     r = np.hypot(d, h)
-    theta = np.arcsin(h / r)
-    return d, r, theta
+    return r, np.arcsin(h / r)
 
 
 def los_probability(theta, env: EnvConstants):
@@ -138,7 +142,9 @@ class FadingField:
     """Counter-addressed small-scale fading for every (UE, UAV) link.
 
     Gains are indexed by (frame, episode, step); regenerating the same index
-    always yields the same matrices, regardless of what else was drawn.
+    always yields the same matrices, regardless of what else was drawn. An
+    evaluation held over many steps draws each step on its own, so its gains
+    are those of one evaluation per step.
     """
 
     def __init__(self, master_seed: int, env: EnvConstants, n_ues: int, n_uavs: int):

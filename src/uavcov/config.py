@@ -47,6 +47,10 @@ class ExperimentConfig:
             raise ConfigError(f"invalid value for key 'profile': {self.profile}")
         if self.maddpg_bw_mode not in ("equal", "learned"):
             raise ConfigError(f"invalid value for key 'maddpg_bw_mode': {self.maddpg_bw_mode}")
+        if self.frames < 1:
+            raise ConfigError(f"invalid value for key 'frames': {self.frames} (at least 1)")
+        if self.eval_steps < 0:
+            raise ConfigError(f"invalid value for key 'eval_steps': {self.eval_steps} (0 or more)")
 
 
 # Desk-scale profile: the same physics at a laptop-sized training budget.

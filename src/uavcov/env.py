@@ -4,6 +4,9 @@ A FrameWorld snapshots the users, clusters and UAV placements of a single
 frame and exposes the per-timestep machinery: observation vectors, mapping of
 raw network outputs onto feasible actions (power simplex, altitude interval,
 block budget), rate/reward evaluation, and the serve-and-freeze bookkeeping.
+Evaluation takes one step or a 1-D array of steps over which the allocation
+is held: only the fading differs between those steps, so the geometry, LoS
+probability, interferer powers and audit are computed once for all of them.
 
 Feasibility is enforced by construction: powers come from a masked softmax
 scaled to the budget, altitude from a squashed affine map, block edits are
@@ -95,7 +98,9 @@ class FrameWorld:
 
     Per-UAV state lives in arrays over (k_max,) and per-slot state over
     (k_max, slots). Padding slots and inactive UAVs stay zero (False) in every
-    array, so whole-row reductions count only assigned users.
+    array, so whole-row reductions count only assigned users. Horizontal
+    positions xy are the frame's placement and read-only; altitude, power
+    and blocks are the decisions.
     """
 
     def __init__(self, cfg: EnvConfig, constants: EnvConstants, ue_xy_m: np.ndarray,
@@ -106,7 +111,6 @@ class FrameWorld:
         self.ue_xy = np.asarray(ue_xy_m, dtype=float)
         self.frame = int(frame)
         self.fading = fading
-        self.field_size_m = field_size_m
         self.audit = {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")}
 
         K, S = cfg.k_max, cfg.slots
@@ -135,6 +139,26 @@ class FrameWorld:
         self.uav_of_ue[self.slot_ues[js, ss]] = js
         self.slot_of_ue[self.slot_ues[js, ss]] = ss
         self.serving_col = np.searchsorted(self.active_idx, self.uav_of_ue)
+        # The placement is fixed for the frame: ground distances and the
+        # field audit are computed once, and xy is read-only.
+        self.xy.flags.writeable = False
+        self._act = np.array(self.active_idx, dtype=np.int64)
+        self._share = np.maximum(1, self.n_slots[self._act])
+        self._ground_d = channel.horizontal_distances(self.ue_xy, self.xy[self._act])
+        w, hgt = field_size_m
+        x, y = self.xy[self._act].T
+        in_field = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= hgt)
+        self._outside_field = int(np.count_nonzero(~in_field))
+        # Flat gather indices of each UE: its serving link and its links to
+        # the active UAVs in a (n_ues, k_max) fading draw, its (uav, slot) in
+        # the (k_max, slots) arrays, its serving link in (n_ues, |active|).
+        rows = np.arange(cfg.n_ues)
+        self._serving_link = rows * K + self.uav_of_ue
+        self._active_links = rows[:, None] * K + self._act
+        self._slot_flat = self.uav_of_ue * S + self.slot_of_ue
+        self._serving_flat = rows * self._act.size + self.serving_col
+        self._ue_uav = np.zeros((cfg.n_ues, K))           # one-hot serving UAV per UE
+        self._ue_uav[rows, self.uav_of_ue] = 1.0
 
     # ----- per-episode reset -----
 
@@ -214,62 +238,77 @@ class FrameWorld:
     def interferer_power(self) -> np.ndarray:
         """Per-active-UAV average transmit power used in the interference sum."""
         cfg = self.cfg
-        act = self.active_idx
-        share = np.maximum(1, self.n_slots[act])
         if cfg.p_avg_mode == "budget":
-            return cfg.p_max / share
-        return np.array([self.power[j, : self.n_slots[j]].sum() for j in act]) / share
+            return cfg.p_max / self._share
+        sums = [self.power[j, : self.n_slots[j]].sum() for j in self.active_idx]
+        return np.array(sums) / self._share
 
-    def evaluate(self, episode: int, step: int):
+    def evaluate(self, episode: int, step):
         """Rates, serve flags and rewards for the current allocations.
 
-        Draws this (frame, episode, step)'s fading, computes every assigned
-        link's rate including inter-UAV NLoS interference, latches newly
-        served slots as frozen, and returns (rates, served flags, per-agent
-        rewards, per-UE rewards).
+        step is one step or a 1-D array of steps over which the allocation
+        is held. Each step draws its own (frame, episode, step) fading;
+        every assigned link's rate includes inter-UAV NLoS interference.
+        Returns (rates, served flags, per-agent rewards, per-UE rewards),
+        each with a leading step axis when step is an array. The state ends
+        as after one call per step in order: served holds the last step's
+        flags, frozen latches every step's, and the audit counts each step.
         """
+        steps = np.atleast_1d(step)
+        if steps.ndim != 1 or steps.size == 0:
+            raise ValueError("step must be an int or a non-empty 1-D array of steps")
         cfg = self.cfg
         env = self.constants
-        act = self.active_idx
-        g_all, k_all = self.fading.draw(self.frame, episode, step)
+        T, n = steps.size, cfg.n_ues
+        g = np.empty((T, n))                      # serving-link Rician gains
+        k = np.empty((T, n))                      # serving-link Rayleigh gains
+        k_act = np.empty((T, n, self._act.size))  # Rayleigh gains to every active UAV
+        for i, t in enumerate(steps.tolist()):
+            g_all, k_all = self.fading.draw(self.frame, episode, t)
+            g_all.take(self._serving_link, out=g[i])
+            k_all.take(self._serving_link, out=k[i])
+            k_all.take(self._active_links, out=k_act[i])
 
-        uav_xyz = np.column_stack([self.xy[act], self.h[act]])
-        _, r, theta = channel.geometry_arrays(self.ue_xy, uav_xyz)  # (n, |act|)
-        rows = np.arange(cfg.n_ues)
-        uav, slot, col = self.uav_of_ue, self.slot_of_ue, self.serving_col
-        r_serv = r[rows, col]
-        p_tx = self.power[uav, slot]
+        h = self.h[self._act]
+        r, theta = channel.slant_geometry(self._ground_d, h)   # (n, |act|)
+        r_serv = r.take(self._serving_flat)
+        p_tx = self.power.take(self._slot_flat)
 
-        p_los = channel.los_probability(theta[rows, col], env)
-        pw_los = channel.received_power(p_tx, r_serv, g_all[rows, uav], env.alpha_los)
-        pw_nlos = channel.received_power(p_tx, r_serv, k_all[rows, uav], env.alpha_nlos)
+        p_los = channel.los_probability(theta.take(self._serving_flat), env)
+        pw_los = channel.received_power(p_tx, r_serv, g, env.alpha_los)
+        pw_nlos = channel.received_power(p_tx, r_serv, k, env.alpha_nlos)
         p_eff = channel.effective_power(p_los, pw_los, pw_nlos)
 
-        inter_full = self.interferer_power()[None, :] * k_all[:, act] * r ** (-env.alpha_nlos)
-        interference = inter_full.sum(axis=1) - inter_full[rows, col]
+        inter_full = self.interferer_power() * k_act * r ** (-env.alpha_nlos)
+        interference = (inter_full.sum(axis=2)
+                        - inter_full.reshape(T, -1).take(self._serving_flat, axis=1))
 
-        rates = channel.achievable_rate(self.blocks[uav, slot] * cfg.block_size, p_eff,
-                                        interference, env.noise_power)
+        rates = channel.achievable_rate(self.blocks.take(self._slot_flat) * cfg.block_size,
+                                        p_eff, interference, env.noise_power)
         served_flags = rates >= cfg.r_th
-        self.served[uav, slot] = served_flags
-        self.frozen |= self.served
-        rewards = self.served.sum(axis=1).astype(float)
-        self._audit_step(rates, served_flags)
-        return rates, served_flags, rewards, served_flags.astype(float)
+        uav, slot = self.uav_of_ue, self.slot_of_ue
+        self.served[uav, slot] = served_flags[-1]
+        self.frozen[uav, slot] |= served_flags.any(axis=0)
+        ue_rewards = served_flags.astype(float)
+        rewards = ue_rewards @ self._ue_uav
+        self._audit(rates, served_flags, h)
+        if np.ndim(step) == 0:
+            return rates[0], served_flags[0], rewards[0], ue_rewards[0]
+        return rates, served_flags, rewards, ue_rewards
 
-    def _audit_step(self, rates: np.ndarray, served_flags: np.ndarray):
+    def _audit(self, rates: np.ndarray, served_flags: np.ndarray, h: np.ndarray):
+        """Count violations over (T, n) rates and flags of an allocation held T steps."""
         cfg = self.cfg
-        act = self.active_idx
-        if np.any(served_flags & (rates < cfg.r_th)):
-            self.audit["C1"] += 1
-        w, hgt = self.field_size_m
-        x, y, h = self.xy[act, 0], self.xy[act, 1], self.h[act]
-        in_field = (0.0 <= x) & (x <= w) & (0.0 <= y) & (y <= hgt)
+        act = self._act
+        T = len(rates)
         in_band = (cfg.h_min - 1e-9 <= h) & (h <= cfg.h_max + 1e-9)
-        self.audit["C4"] += int(np.count_nonzero(self.power[act].sum(axis=1) > cfg.p_max + 1e-9))
-        self.audit["C5"] += int(np.count_nonzero(self.blocks[act].sum(axis=1) > cfg.block_limit))
-        self.audit["C6"] += int(np.count_nonzero(~in_field))
-        self.audit["C7"] += int(np.count_nonzero(~in_band))
+        over_power = self.power[act].sum(axis=1) > cfg.p_max + 1e-9
+        over_blocks = self.blocks[act].sum(axis=1) > cfg.block_limit
+        self.audit["C1"] += int(np.count_nonzero((served_flags & (rates < cfg.r_th)).any(axis=1)))
+        self.audit["C4"] += T * int(np.count_nonzero(over_power))
+        self.audit["C5"] += T * int(np.count_nonzero(over_blocks))
+        self.audit["C6"] += T * self._outside_field
+        self.audit["C7"] += T * int(np.count_nonzero(~in_band))
 
     # ----- summaries -----
 

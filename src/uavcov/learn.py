@@ -51,6 +51,9 @@ class TrainSchedule:
     critic_mode: str = "central"  # "central" or "local"
 
     def __post_init__(self):
+        for key in ("episodes", "steps_per_episode"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         if not 0.0 <= self.gamma < 1.0:
@@ -556,16 +559,15 @@ def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,
                           eval_steps: int | None = None) -> FrameResult:
     """Committed coverage of the fixed equal allocation at mid altitude.
 
-    The allocation never changes; users latch as served when a step's fading
-    lets their equal share meet the threshold. The horizon and fading lane
-    mirror a learned method's last training episode, keeping the comparison
-    paired draw for draw.
+    The allocation never changes, so one held evaluation scores every step
+    of the horizon at once; users latch as served when a step's fading lets
+    their equal share meet the threshold. The horizon and fading lane mirror
+    a learned method's last training episode, keeping the comparison paired
+    draw for draw.
     """
     T = eval_steps if eval_steps is not None else schedule.steps_per_episode
     world.reset_episode(equal_blocks=True)
-    tag = schedule.episodes - 1
-    for t in range(T):
-        world.evaluate(tag, t)
+    world.evaluate(schedule.episodes - 1, np.arange(T))
     return frame_snapshot(world)
 
 

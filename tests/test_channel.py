@@ -244,7 +244,8 @@ def test_vectorized_matches_scalar():
     rng = np.random.default_rng(31)
     ue = rng.uniform(0, 3e4, (8, 2))
     uav = np.column_stack([rng.uniform(0, 3e4, (3, 2)), rng.uniform(300, 1000, 3)])
-    d, r, theta = channel.geometry_arrays(ue, uav)
+    d = channel.horizontal_distances(ue, uav[:, :2])
+    r, theta = channel.slant_geometry(d, uav[:, 2])
     for i in range(8):
         for j in range(3):
             g = link_geometry(ue[i], uav[j])

@@ -7,6 +7,8 @@ from uavcov.channel import EnvConstants, effective_power, los_probability, recei
 from uavcov.env import EnvConfig, map_altitude, masked_softmax
 from uavcov.experiment import oracle_min_blocks
 
+from conftest import build_world
+
 CONSTS = EnvConstants()
 
 
@@ -210,3 +212,70 @@ def test_interferer_power_modes(world_factory):
     allocated = world.interferer_power()
     assert budget == pytest.approx(allocated)
     assert budget == pytest.approx([0.5, 0.5])
+
+
+def held_and_stepwise(make, episode, steps):
+    """Evaluate steps held on one world and one call per step on a second world from make()."""
+    held, stepwise = make(), make()
+    out = held.evaluate(episode, np.asarray(steps))
+    calls = [stepwise.evaluate(episode, t) for t in steps]
+    for got, per_step in zip(out, zip(*calls)):
+        assert len(got) == len(steps)
+        for row, want in zip(got, per_step):
+            assert np.array_equal(row, want)
+    for name in ("served", "frozen", "power", "blocks", "h"):
+        assert np.array_equal(getattr(held, name), getattr(stepwise, name)), name
+    assert held.audit == stepwise.audit
+    return held, out
+
+
+@pytest.mark.parametrize("mode", ["budget", "allocated"])
+def test_held_evaluation_matches_stepwise(mode):
+    # padding slots, and UAVs 0 and 2 inactive below active ones
+    pts = np.random.default_rng(11).uniform(0, 29700, (9, 2))
+    labels = [0, 0, 0, 0, 1, 1, 1, 2, 2]
+    steps = np.arange(40)
+
+    def make(**kw):
+        world = build_world(pts, labels, uavs=[3, 1, 4], seed=6, p_avg_mode=mode, **kw)
+        world.reset_episode(equal_blocks=True)
+        for j in world.active_idx:  # uneven splits, so the two p_avg modes differ
+            world.apply_maddpg_action(j, 0.2 * j, np.linspace(-1.0, 1.0, world.cfg.slots))
+        return world
+
+    # a threshold at the median rate serves users at some steps and not at others
+    r_th = float(np.median(make().evaluate(0, steps)[0]))
+    world, (rates, flags, rewards, ue_rewards) = held_and_stepwise(
+        lambda: make(r_th=r_th), 0, steps)
+    assert rates.shape == flags.shape == ue_rewards.shape == (40, 9)
+    assert rewards.shape == (40, world.cfg.k_max)
+    assert np.array_equal(world.served[world.uav_of_ue, world.slot_of_ue], flags[-1])
+    assert np.array_equal(world.frozen[world.uav_of_ue, world.slot_of_ue], flags.any(axis=0))
+    assert (world.frozen & ~world.served).any() and world.served.any()
+    assert not world.served[~world.mask].any() and not world.frozen[~world.mask].any()
+
+
+def test_held_evaluation_counts_violations_per_step():
+    # one UAV breaks each of C4-C7; a held evaluation of T steps counts T each
+    pts = [[0.0, 0.0], [600.0, 0.0], [9000.0, 0.0], [9600.0, 0.0], [20000.0, 0.0]]
+
+    def make():
+        world = build_world(pts, [0, 0, 1, 1, 2], uavs=[2, 0, 3],
+                            uav_xy=[[300.0, 0.0], [9300.0, 0.0], [-300.0, 0.0]])
+        world.reset_episode(equal_blocks=True)
+        world.power[2, 0] += 0.5                          # C4: over the power budget
+        world.blocks[0, :2] = world.cfg.block_limit       # C5: over the block budget
+        world.h[0] = world.cfg.h_max + 1.0                # C7: above the altitude band
+        return world                                      # C6: UAV 3 outside the field
+
+    world, _ = held_and_stepwise(make, 3, np.arange(5, 12))
+    assert world.audit == {"C1": 0, "C4": 7, "C5": 7, "C6": 7, "C7": 7}
+
+
+def test_evaluate_rejects_empty_or_nested_steps(world_factory):
+    world = world_factory([[0.0, 0.0], [600.0, 0.0]], [0, 0])
+    world.reset_episode(equal_blocks=True)
+    for bad in (np.arange(0), np.zeros((2, 2), dtype=int)):
+        with pytest.raises(ValueError, match="step"):
+            world.evaluate(0, bad)
+    assert world.audit == {c: 0 for c in world.audit}

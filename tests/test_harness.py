@@ -96,6 +96,16 @@ def test_config_unknown_key_named():
         parse_config_text("block_limit = many\n")
 
 
+@pytest.mark.parametrize("key,value", [("episodes", 0), ("steps_per_episode", 0),
+                                       ("frames", 0), ("eval_steps", -1)])
+def test_degenerate_schedule_rejected(key, value):
+    # each would divide by zero, average nothing or silently fall back
+    with pytest.raises(ConfigError, match=key):
+        tiny_config(**{key: value})
+    with pytest.raises(ConfigError, match=key):
+        build_config(parse_config_text(f"{key} = {value}\n"))
+
+
 def test_csv_round_trip(tmp_path):
     path = str(tmp_path / "t.csv")
     w = CsvWriter(path, ["a", "b"])

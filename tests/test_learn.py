@@ -318,6 +318,54 @@ def test_stacked_qnets_match_single_nets():
             assert np.array_equal(stack.biases[li][row], ent["net"].biases[li])
 
 
+def test_stacked_qnets_float32_update_matches_float32_reference():
+    # the DQN pool's float32 stack: every update step, Adam's bias corrections
+    # included, stays in float32 and equals the nn kernels run on one row
+    from uavcov.learn import StackedQnets
+    sch = small_schedule(gamma=0.9, lr=1e-3, tau=0.05)
+    dims = [3, 8, 8, 2]
+    stack = StackedQnets(4, dims, sch.lr, dtype=np.float32)
+    idx = np.array([3, 1])
+    for row in idx:
+        stack.init_row(row, np.random.default_rng(100 + row))
+    n = len(stack.weights)
+    refs = [{"p": [p[row].copy() for p in stack.weights + stack.biases],
+             "t": [t[row].copy() for t in stack.t_weights + stack.t_biases],
+             "m": [np.zeros_like(p[row]) for p in stack.m],
+             "v": [np.zeros_like(v[row]) for v in stack.v]} for row in idx]
+    data_rng = np.random.default_rng(9)
+    batch = {
+        "state": data_rng.normal(size=(2, 6, 3)),
+        "action": data_rng.integers(0, 2, size=(2, 6, 1)),
+        "reward": data_rng.normal(size=(2, 6, 1)),
+        "next_state": data_rng.normal(size=(2, 6, 3)),
+        "done": data_rng.integers(0, 2, size=(2, 6, 1)),
+    }
+    batch = {k: v.astype(np.float32) for k, v in batch.items()}
+    for step in range(1, 4):
+        stack.update(idx, batch, sch.gamma, sch.tau)
+        b1t = np.float32(1.0 - nn.BETA1 ** step)
+        b2t = np.float32(1.0 - nn.BETA2 ** step)
+        for r, ref in enumerate(refs):
+            row_batch = {k: v[r] for k, v in batch.items()}
+            q_next = nn.forward(ref["t"][:n], ref["t"][n:], row_batch["next_state"])
+            acts = []
+            q = nn.forward(ref["p"][:n], ref["p"][n:], row_batch["state"], acts)
+            _, grad_out = td_error(q, q_next, row_batch, sch.gamma)
+            grads_w, grads_b, _ = nn.backward(ref["p"][:n], acts, grad_out)
+            for p, g, m, v, t in zip(ref["p"], grads_w + grads_b, ref["m"], ref["v"], ref["t"]):
+                nn.adam_update(p, g, m, v, b1t, b2t, sch.lr)
+                nn.blend(t, p, sch.tau)
+    stacked = {"p": stack.weights + stack.biases, "t": stack.t_weights + stack.t_biases,
+               "m": stack.m, "v": stack.v}
+    for kind, arrays in stacked.items():
+        assert all(a.dtype == np.float32 for a in arrays), kind
+        for r, row in enumerate(idx):
+            for a, want in zip(arrays, refs[r][kind]):
+                assert want.dtype == np.float32
+                assert np.array_equal(a[row], want), (kind, row)
+
+
 def test_stacked_qnets_gradients_match_finite_differences():
     from uavcov.learn import StackedQnets
     rng = np.random.default_rng(1)

@@ -4,6 +4,8 @@ Worlds cover k* = 1, singleton clusters, one or two users, clusters of exactly
 max_cluster_size and active UAVs that are not the lowest indices. Every
 vectorized reduction of FrameWorld relies on padding slots and inactive UAVs
 staying zero (False), so that invariant is checked after every operation.
+The replay test runs each held multi-step evaluation one step at a time on a
+second world and requires the same results and state.
 """
 
 import numpy as np
@@ -55,6 +57,8 @@ operations = st.lists(st.one_of(
               st.lists(logit, min_size=7, max_size=7), st.booleans()),
     st.tuples(st.just("block"), st.integers(0, 6), st.integers(0, 6), st.sampled_from((1, -1))),
     st.tuples(st.just("evaluate"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("held"), st.integers(0, 3),
+              st.lists(st.integers(0, 5), min_size=1, max_size=4)),
     st.tuples(st.just("reset"), st.booleans()),
 ), max_size=30)
 
@@ -73,7 +77,17 @@ def apply(world: FrameWorld, op):
         return world.apply_block_action(j, ss % world.n_slots[j], action)
     if op[0] == "evaluate":
         return world.evaluate(op[1], op[2])
+    if op[0] == "held":
+        return world.evaluate(op[1], np.array(op[2]))
     return world.reset_episode(equal_blocks=op[1])
+
+
+def replay(world: FrameWorld, op):
+    """Run one operation, a held evaluation as one call per step, stacked like the held result."""
+    if op[0] != "held":
+        return apply(world, op)
+    calls = [world.evaluate(op[1], t) for t in op[2]]
+    return tuple(np.stack(per_step) for per_step in zip(*calls))
 
 
 def check_invariants(world: FrameWorld):
@@ -116,11 +130,12 @@ def test_random_action_sequences_keep_invariants(spec, ops):
 @PROPERTY_SETTINGS
 @given(spec=worlds(), ops=operations)
 def test_random_action_sequences_replay_identically(spec, ops):
+    # b replays each held evaluation one step at a time
     a, b = build(**spec), build(**spec)
     for world in (a, b):
         world.reset_episode(equal_blocks=False)
     for op in ops:
-        out_a, out_b = apply(a, op), apply(b, op)
+        out_a, out_b = apply(a, op), replay(b, op)
         if isinstance(out_a, tuple):
             for x, y in zip(out_a, out_b):
                 assert np.array_equal(x, y)

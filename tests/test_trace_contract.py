@@ -3,6 +3,8 @@
 perfbench/spans.py patches functions and methods where their callers look
 them up (`vars(owner)[attr]`). A rename or a moved import breaks only traced
 benchmark runs, so this test installs the recorder around a tiny flare run.
+The recorder's counts also pin that a static frame is one evaluate call over
+its whole horizon, with one fading draw per step.
 """
 
 import importlib.util
@@ -42,3 +44,19 @@ def test_span_recorder_wraps_a_flare_run_and_restores_every_name(tmp_path):
     metrics = recorder.layer_metrics(1)
     assert metrics["learn.train_frame_s"] > 0
     assert metrics["learn.dqn_select_calls"] > 0
+
+
+def test_static_frames_evaluate_their_horizon_in_one_call(tmp_path):
+    # the held allocation of a static frame is one evaluate call that still
+    # draws every step's fading
+    spans = load_spans()
+    cfg = tiny_config()
+    recorder = spans.SpanRecorder()
+    try:
+        recorder.install()
+        experiment.run_single(cfg, "static", 1, str(tmp_path / "run"), quiet=True)
+    finally:
+        recorder.uninstall()
+    metrics = recorder.layer_metrics(1)
+    assert metrics["env.evaluate_calls"] == cfg.frames
+    assert metrics["channel.fading_draw_calls"] == cfg.frames * cfg.eval_steps
