@@ -291,20 +291,20 @@ class FrameWorld:
         self.frozen[uav, slot] |= served_flags.any(axis=0)
         ue_rewards = served_flags.astype(float)
         rewards = ue_rewards @ self._ue_uav
-        self._audit(rates, served_flags, h)
+        self._audit(rates, h)
         if np.ndim(step) == 0:
             return rates[0], served_flags[0], rewards[0], ue_rewards[0]
         return rates, served_flags, rewards, ue_rewards
 
-    def _audit(self, rates: np.ndarray, served_flags: np.ndarray, h: np.ndarray):
-        """Count violations over (T, n) rates and flags of an allocation held T steps."""
+    def _audit(self, rates: np.ndarray, h: np.ndarray):
+        """Count each held step's violations: C1 a non-finite rate, C4-C7 offending UAVs."""
         cfg = self.cfg
         act = self._act
         T = len(rates)
         in_band = (cfg.h_min - 1e-9 <= h) & (h <= cfg.h_max + 1e-9)
         over_power = self.power[act].sum(axis=1) > cfg.p_max + 1e-9
         over_blocks = self.blocks[act].sum(axis=1) > cfg.block_limit
-        self.audit["C1"] += int(np.count_nonzero((served_flags & (rates < cfg.r_th)).any(axis=1)))
+        self.audit["C1"] += int(np.count_nonzero(~np.isfinite(rates).all(axis=1)))
         self.audit["C4"] += T * int(np.count_nonzero(over_power))
         self.audit["C5"] += T * int(np.count_nonzero(over_blocks))
         self.audit["C6"] += T * self._outside_field

@@ -247,7 +247,7 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
         if method != "static":
             maddpg.buffer.clear()
             if dqns is not None:
-                dqns.clear_buffers()
+                dqns.buffer.clear()
             records = train_frame(world, maddpg, dqns, schedule, expl_rng,
                                   step_offset=frame * schedule.episodes * schedule.steps_per_episode,
                                   total_steps=total_steps,
@@ -269,7 +269,7 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
             eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
             result = evaluate_frame_static(world, schedule, eval_steps)
             if writers is not None:
-                sink(world, 0, schedule.steps_per_episode - 1)
+                sink(world, 0, eval_steps - 1)
 
         for c in audit_total:
             audit_total[c] += world.audit[c]

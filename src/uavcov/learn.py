@@ -81,15 +81,20 @@ def _anneal(step: int, total: int, start: float, end: float, frac: float) -> flo
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform no-replacement sampling."""
+    """Fixed-capacity ring of transitions with uniform no-replacement sampling.
 
-    def __init__(self, capacity: int, fields: dict[str, int]):
+    With rows=n it is n independent rings in (n, capacity, dim) arrays, each
+    with its own head and size, fed by add_rows and read by sample_rows.
+    """
+
+    def __init__(self, capacity: int, fields: dict[str, int], rows: int | None = None):
         self.capacity = int(capacity)
         self.fields = dict(fields)
-        self._data = {name: np.zeros((self.capacity, dim), dtype=np.float32)
+        self.rows = rows
+        lead = (self.capacity,) if rows is None else (rows, self.capacity)
+        self._data = {name: np.zeros(lead + (dim,), dtype=np.float32)
                       for name, dim in self.fields.items()}
-        self._size = 0
-        self._head = 0
+        self.clear()
 
     def __len__(self) -> int:
         return self._size
@@ -100,16 +105,32 @@ class ReplayBuffer:
         self._head = (self._head + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def sample(self, batch: int, rng: np.random.Generator,
-               dtype=float) -> dict[str, np.ndarray]:
+    def sample(self, batch: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         if self._size < batch:
             raise ValueError("not enough transitions to sample")
         idx = rng.choice(self._size, size=batch, replace=False)
-        return {name: arr[idx].astype(dtype, copy=False) for name, arr in self._data.items()}
+        return {name: arr[idx].astype(float) for name, arr in self._data.items()}
+
+    def add_rows(self, rows: np.ndarray, **values):
+        """One transition into each of the distinct rows, values (len(rows), ...)."""
+        head = self._head[rows]
+        for name in self.fields:
+            self._data[name][rows, head] = np.reshape(values[name], (len(rows), -1))
+        self._head[rows] = (head + 1) % self.capacity
+        self._size[rows] = np.minimum(self._size[rows] + 1, self.capacity)
+
+    def sample_rows(self, rows: np.ndarray, batch: int,
+                    rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """(len(rows), batch, dim) minibatches, each row drawn as sample draws, in order."""
+        idx = np.array([rng.choice(n, size=batch, replace=False)
+                        for n in self._size[rows].tolist()])
+        return {name: arr[rows[:, None], idx] for name, arr in self._data.items()}
 
     def clear(self):
-        self._size = 0
-        self._head = 0
+        if self.rows is None:
+            self._size = self._head = 0
+        else:
+            self._size, self._head = np.zeros((2, self.rows), dtype=np.int64)
 
 
 # ----- action squashing (shared by action selection and the actor update) -----
@@ -152,10 +173,7 @@ def maddpg_select_action(actor: Mlp, obs: np.ndarray, noise_sigma: float,
 
 def dqn_select_action(qnet: Mlp, state: np.ndarray, epsilon: float,
                       rng: np.random.Generator | None) -> int:
-    """Epsilon-greedy over the two block actions; returns the action index.
-
-    Ties resolve to index 0 (+1), so an untrained all-zero net walks upward.
-    """
+    """Epsilon-greedy over the two block actions; ties resolve to index 0 (+1)."""
     if epsilon > 0.0 and rng.random() < epsilon:
         return int(rng.integers(2))
     q = qnet.forward(state)
@@ -380,14 +398,14 @@ def _layers(rows: list[np.ndarray]):
 
 
 class DqnPool:
-    """One Q-net (plus target/optimizer/buffer) per (UAV, user slot).
+    """One Q-net (plus target and optimizer) per (UAV, user slot), one replay ring per user.
 
-    Nets live as rows of a StackedQnets and persist across frames; replay
-    buffers are per slot and dropped at frame boundaries.
+    Nets live as rows j * slots + s of a StackedQnets and persist across
+    frames. A user holds exactly one slot per frame, so replay rows are
+    users, allocated once and cleared at frame boundaries.
     """
 
     def __init__(self, cfg: EnvConfig, schedule: TrainSchedule, init_rng: np.random.Generator):
-        self.cfg = cfg
         self.schedule = schedule
         self.init_rng = init_rng
         dims = [cfg.dqn_obs_dim] + list(schedule.hidden) + [2]
@@ -395,50 +413,32 @@ class DqnPool:
         # bandwidth-bound; the MADDPG lane stays float64.
         self.stack = StackedQnets(cfg.k_max * cfg.slots, dims, schedule.dqn_lr,
                                   dtype=np.float32)
-        self.buffers: dict[tuple[int, int], ReplayBuffer] = {}
+        cap = min(schedule.buffer_capacity, schedule.episodes * schedule.steps_per_episode)
+        self.buffer = ReplayBuffer(cap, {
+            "state": cfg.dqn_obs_dim, "action": 1, "reward": 1,
+            "next_state": cfg.dqn_obs_dim, "done": 1,
+        }, rows=cfg.n_ues)
 
-    def row_of(self, j: int, s: int) -> int:
-        return j * self.cfg.slots + s
-
-    def ensure(self, j: int, s: int) -> ReplayBuffer:
-        key = (j, s)
-        if key not in self.buffers:
-            self.stack.init_row(self.row_of(j, s), self.init_rng)
-            cap = min(self.schedule.buffer_capacity,
-                      self.schedule.episodes * self.schedule.steps_per_episode)
-            self.buffers[key] = ReplayBuffer(cap, {
-                "state": self.cfg.dqn_obs_dim, "action": 1, "reward": 1,
-                "next_state": self.cfg.dqn_obs_dim, "done": 1,
-            })
-        return self.buffers[key]
-
-    def clear_buffers(self):
-        self.buffers = {}
-
-    def select_many(self, keys: list[tuple[int, int]], states: np.ndarray,
+    def select_many(self, rows: np.ndarray, states: np.ndarray,
                     epsilon: float, rng: np.random.Generator | None) -> np.ndarray:
-        """Epsilon-greedy action indices for the given slots, one state each."""
-        for j, s in keys:
-            self.ensure(j, s)
-        idx = np.array([self.row_of(j, s) for j, s in keys])
-        q = self.stack.q_values(idx, states)
+        """Epsilon-greedy action indices for stack rows, initialized on first selection."""
+        for row in rows[~self.stack.initialized[rows]].tolist():
+            self.stack.init_row(row, self.init_rng)
+        q = self.stack.q_values(rows, states)
         actions = np.argmax(q, axis=1)  # ties resolve to index 0, i.e. +1
         if epsilon > 0.0:
-            explore = rng.random(len(keys)) < epsilon
-            random_actions = rng.integers(2, size=len(keys))
+            explore = rng.random(len(rows)) < epsilon
+            random_actions = rng.integers(2, size=len(rows))
             actions = np.where(explore, random_actions, actions)
         return actions
 
-    def update_many(self, keys: list[tuple[int, int]], rng: np.random.Generator):
-        """One batched TD step over every slot with enough replay."""
-        ready = [k for k in keys if len(self.buffers.get(k, ())) >= self.schedule.batch_size]
-        if not ready:
+    def update_many(self, rows: np.ndarray, users: np.ndarray, rng: np.random.Generator):
+        """One batched TD step over the stack rows whose users have enough replay."""
+        ready = self.buffer._size[users] >= self.schedule.batch_size
+        if not ready.any():
             return None
-        samples = [self.buffers[k].sample(self.schedule.batch_size, rng, dtype=np.float32)
-                   for k in ready]
-        batch = {name: np.stack([s[name] for s in samples]) for name in samples[0]}
-        idx = np.array([self.row_of(j, s) for j, s in ready])
-        return self.stack.update(idx, batch, self.schedule.gamma, self.schedule.tau)
+        batch = self.buffer.sample_rows(users[ready], self.schedule.batch_size, rng)
+        return self.stack.update(rows[ready], batch, self.schedule.gamma, self.schedule.tau)
 
 
 def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
@@ -480,7 +480,8 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
     cfg = world.cfg
     S = cfg.slots
     use_dqn = dqns is not None
-    all_keys = list(zip(*(a.tolist() for a in np.nonzero(world.mask))))
+    slot_rows = np.flatnonzero(world.mask)   # stack rows j * S + s of the assigned slots
+    slot_users = world.slot_ues.ravel()[slot_rows]
     records = []
     for e in range(schedule.episodes):
         world.reset_episode(equal_blocks=not use_dqn)
@@ -498,35 +499,32 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
                 bw = raw[1 + S:1 + 2 * S] if maddpg.bw_head else None
                 joint_act[j] = world.apply_maddpg_action(j, raw[0], raw[1:1 + S], bw)
 
-            keys = []
             if use_dqn:
                 js, ss = np.nonzero(world.mask & ~world.frozen)
-                keys = list(zip(js.tolist(), ss.tolist()))
-                if keys:
+                if js.size:
                     states = world.dqn_obs(world.maddpg_obs(), js, ss)
-                    actions = dqns.select_many(keys, states, eps, expl_rng).tolist()
-                    for (j, s), a_idx in zip(keys, actions):
+                    actions = dqns.select_many(js * S + ss, states, eps, expl_rng)
+                    for j, s, a_idx in zip(js.tolist(), ss.tolist(), actions.tolist()):
                         world.apply_block_action(j, s, BLOCK_ACTIONS[a_idx])
 
             _, _, rewards, ue_rewards = world.evaluate(e, t)
             next_obs = world.maddpg_obs()
             last_step = t == schedule.steps_per_episode - 1
 
-            if keys:
+            if use_dqn and js.size:
                 served_now = world.served[js, ss]
                 search_steps[js[served_now], ss[served_now]] = t + 1
-                next_states = world.dqn_obs(next_obs, js, ss)
-                slot_rewards = ue_rewards[world.slot_ues[js, ss]]
-                for i, (j, s) in enumerate(keys):
-                    dqns.ensure(j, s).add(
-                        state=states[i], action=actions[i], reward=slot_rewards[i],
-                        next_state=next_states[i], done=float(served_now[i] or last_step))
+                users = world.slot_ues[js, ss]
+                dqns.buffer.add_rows(users, state=states, action=actions,
+                                     reward=ue_rewards[users],
+                                     next_state=world.dqn_obs(next_obs, js, ss),
+                                     done=served_now | last_step)
             maddpg.store(obs, joint_act, rewards, next_obs, last_step)
 
             if (t + 1) % schedule.update_interval == 0:
                 maddpg.update(world, expl_rng)
             if use_dqn and (t + 1) % schedule.dqn_update_interval == 0 and maddpg.ready():
-                dqns.update_many(all_keys, expl_rng)
+                dqns.update_many(slot_rows, slot_users, expl_rng)
 
             obs = next_obs
             reward_sum += float(rewards.sum())

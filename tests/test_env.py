@@ -272,6 +272,34 @@ def test_held_evaluation_counts_violations_per_step():
     assert world.audit == {"C1": 0, "C4": 7, "C5": 7, "C6": 7, "C7": 7}
 
 
+class NanAtOddSteps:
+    """Fading whose odd-step draws give UE 0 NaN gains on every link."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def draw(self, frame, episode, step):
+        g, k = self.inner.draw(frame, episode, step)
+        if step % 2:
+            g[0] = k[0] = np.nan
+        return g, k
+
+
+def test_audit_counts_steps_with_a_non_finite_rate(world_factory):
+    # UE 0's rate is NaN at 3 of 6 steps: a held call and six single calls count 3
+    held, stepwise = (world_factory([[0.0, 0.0], [600.0, 0.0], [9000.0, 0.0]], [0, 0, 1])
+                      for _ in range(2))
+    for world in (held, stepwise):
+        world.fading = NanAtOddSteps(world.fading)
+        world.reset_episode(equal_blocks=True)
+    rates = held.evaluate(0, np.arange(6))[0]
+    for t in range(6):
+        stepwise.evaluate(0, t)
+    assert np.isnan(rates[1::2, 0]).all()
+    assert np.isfinite(rates[::2]).all() and np.isfinite(rates[:, 1:]).all()
+    assert held.audit == stepwise.audit == {"C1": 3, "C4": 0, "C5": 0, "C6": 0, "C7": 0}
+
+
 def test_evaluate_rejects_empty_or_nested_steps(world_factory):
     world = world_factory([[0.0, 0.0], [600.0, 0.0]], [0, 0])
     world.reset_episode(equal_blocks=True)

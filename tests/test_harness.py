@@ -200,6 +200,16 @@ def test_run_determinism_api(tmp_path):
         assert open(tmp_path / "a" / name, "rb").read() == open(tmp_path / "b" / name, "rb").read()
 
 
+def test_static_metrics_rows_log_the_last_evaluated_step(tmp_path):
+    # tiny_config evaluates 10 of its 15 steps per episode; the rows stay at episode 0
+    cfg = tiny_config()
+    run_single(cfg, "static", 1, str(tmp_path / "run"), quiet=True)
+    header, rows = read_csv(str(tmp_path / "run" / "metrics.csv"))
+    ep, ts = header.index("episode"), header.index("timestep")
+    assert len(rows) > 0
+    assert {(r[ep], r[ts]) for r in rows} == {(0.0, cfg.eval_steps - 1)}
+
+
 def test_local_critic_mode_runs():
     cfg = tiny_config(critic_mode="local")
     summary = run_single(cfg, "flare", 1, quiet=True)

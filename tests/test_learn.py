@@ -259,22 +259,27 @@ def test_dqn_pool_lazy_and_persistent():
     cfg = EnvConfig(n_ues=4)
     sch = small_schedule()
     pool = DqnPool(cfg, sch, np.random.default_rng(0))
-    b1 = pool.ensure(0, 1)
-    b2 = pool.ensure(0, 1)
-    assert b1 is b2
-    assert len(pool.buffers) == 1
-    assert pool.stack.initialized[pool.row_of(0, 1)]
-    assert not pool.stack.initialized[pool.row_of(0, 0)]
-    b1.add(state=np.zeros(cfg.dqn_obs_dim), action=0, reward=0.0,
-           next_state=np.zeros(cfg.dqn_obs_dim), done=0.0)
-    pool.clear_buffers()
-    assert pool.buffers == {}
+    buffer = pool.buffer
+    assert buffer._data["state"].shape == (cfg.n_ues, 20, cfg.dqn_obs_dim)
+    states = np.zeros((2, cfg.dqn_obs_dim))
+    rows = np.array([cfg.slots + 1, 1])
+    pool.select_many(rows, states, 0.0, None)
+    assert pool.stack.initialized.nonzero()[0].tolist() == [1, cfg.slots + 1]
+    # rows are initialized in selection order
+    ref = DqnPool(cfg, sch, np.random.default_rng(0))
+    for row in rows.tolist():
+        ref.stack.init_row(row, ref.init_rng)
+    assert np.array_equal(ref.stack.weights[0], pool.stack.weights[0])
+    buffer.add_rows(np.array([3]), state=states[:1], action=[0], reward=[0.0],
+                    next_state=states[:1], done=[0.0])
+    assert buffer._size.tolist() == [0, 0, 0, 1]
+    buffer.clear()
+    assert not buffer._size.any()
     init_state = pool.init_rng.bit_generator.state
-    b3 = pool.ensure(0, 1)
+    pool.select_many(rows[:1], states[:1], 0.0, None)
     assert pool.init_rng.bit_generator.state == init_state  # the row is not re-drawn
-    assert b3 is not b1 and len(b3) == 0
-    assert pool.stack.initialized[pool.row_of(0, 1)]
-    assert not pool.stack.initialized[pool.row_of(0, 0)]
+    assert pool.buffer is buffer
+    assert pool.stack.initialized.nonzero()[0].tolist() == [1, cfg.slots + 1]
 
 
 def test_stacked_qnets_match_single_nets():
@@ -477,17 +482,18 @@ def test_checkpoint_restores_identical_continuation(tmp_path):
     # continue directly
     world2 = build_world([[0.0, 0.0], [600.0, 0.0], [9000.0, 300.0]], [0, 0, 1], seed=3)
     maddpg.buffer.clear()
-    dqns.clear_buffers()
+    dqns.buffer.clear()
     train_frame(world2, maddpg, dqns, sch, np.random.default_rng(10), 0, 1000)
     direct = [p.copy() for p in maddpg.actors[0].params] + [dqns.stack.weights[0].copy()]
     # reload into a fresh learner and continue identically
     worldb, maddpgb, dqnsb = fresh()
-    for j, s in dqns.buffers:
-        dqnsb.ensure(j, s)
+    # the same init_rng draws: the first selection covers every row in order
+    for row in np.flatnonzero(dqns.stack.initialized).tolist():
+        dqnsb.stack.init_row(row, dqnsb.init_rng)
     load_checkpoint(path, maddpgb, dqnsb)
     worldb2 = build_world([[0.0, 0.0], [600.0, 0.0], [9000.0, 300.0]], [0, 0, 1], seed=3)
     maddpgb.buffer.clear()
-    dqnsb.clear_buffers()
+    dqnsb.buffer.clear()
     train_frame(worldb2, maddpgb, dqnsb, sch, np.random.default_rng(10), 0, 1000)
     resumed = [p.copy() for p in maddpgb.actors[0].params] + [dqnsb.stack.weights[0].copy()]
     for a, b in zip(direct, resumed):

@@ -231,3 +231,44 @@ def test_replay_buffer_insufficient():
     buf.add(v=1)
     with pytest.raises(ValueError):
         buf.sample(2, np.random.default_rng(0))
+
+
+def filled_row_store():
+    """A 3-row store fed interleaved, row 2 skipping steps and row 0 wrapping,
+    and one single-ring reference per row fed the same transitions."""
+    fields = {"x": 2, "a": 1}
+    store = ReplayBuffer(5, fields, rows=3)
+    refs = [ReplayBuffer(5, fields) for _ in range(3)]
+    rng = np.random.default_rng(21)
+    for step in range(8):
+        rows = np.array([0, 1, 2] if step % 3 == 0 else [1, 0])
+        x = rng.normal(size=(len(rows), 2))
+        a = rng.integers(2, size=len(rows))
+        store.add_rows(rows, x=x, a=a)
+        for i, r in enumerate(rows.tolist()):
+            refs[r].add(x=x[i], a=a[i])
+    return store, refs
+
+
+def test_row_store_rings_match_single_rings():
+    store, refs = filled_row_store()
+    assert store._size.tolist() == [len(r) for r in refs] == [5, 5, 3]
+    assert store._head.tolist() == [r._head for r in refs] == [3, 3, 3]
+    for name, data in store._data.items():
+        assert data.shape == (3, 5, store.fields[name])
+        for r, ref in enumerate(refs):
+            assert np.array_equal(data[r], ref._data[name])
+    store.clear()
+    assert not store._size.any() and not store._head.any()
+
+
+def test_row_store_sample_matches_single_ring_draws():
+    store, refs = filled_row_store()
+    rows = np.array([2, 0, 1])
+    got = store.sample_rows(rows, 3, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    want = [refs[r].sample(3, rng) for r in rows.tolist()]
+    for name in store.fields:
+        assert got[name].shape == (3, 3, store.fields[name])
+        assert got[name].dtype == np.float32
+        assert np.array_equal(got[name], np.stack([w[name] for w in want]))

@@ -4,7 +4,8 @@ perfbench/spans.py patches functions and methods where their callers look
 them up (`vars(owner)[attr]`). A rename or a moved import breaks only traced
 benchmark runs, so this test installs the recorder around a tiny flare run.
 The recorder's counts also pin that a static frame is one evaluate call over
-its whole horizon, with one fading draw per step.
+its whole horizon, with one fading draw per step, and that a flare run
+allocates its replay once, not per slot or per frame.
 """
 
 import importlib.util
@@ -46,17 +47,33 @@ def test_span_recorder_wraps_a_flare_run_and_restores_every_name(tmp_path):
     assert metrics["learn.dqn_select_calls"] > 0
 
 
+def traced_metrics(cfg, method, out_dir):
+    """Per-layer metrics of one traced run_single call."""
+    recorder = load_spans().SpanRecorder()
+    try:
+        recorder.install()
+        experiment.run_single(cfg, method, 1, out_dir, quiet=True)
+    finally:
+        recorder.uninstall()
+    return recorder.layer_metrics(1)
+
+
 def test_static_frames_evaluate_their_horizon_in_one_call(tmp_path):
     # the held allocation of a static frame is one evaluate call that still
     # draws every step's fading
-    spans = load_spans()
     cfg = tiny_config()
-    recorder = spans.SpanRecorder()
-    try:
-        recorder.install()
-        experiment.run_single(cfg, "static", 1, str(tmp_path / "run"), quiet=True)
-    finally:
-        recorder.uninstall()
-    metrics = recorder.layer_metrics(1)
+    metrics = traced_metrics(cfg, "static", str(tmp_path / "run"))
     assert metrics["env.evaluate_calls"] == cfg.frames
     assert metrics["channel.fading_draw_calls"] == cfg.frames * cfg.eval_steps
+
+
+def test_flare_allocates_its_replay_once_per_run(tmp_path):
+    # one MADDPG ring and one (n_ues, cap, dim) DQN store over both frames
+    cfg = tiny_config()
+    env, sch = cfg.env, cfg.schedule
+    assert cfg.frames == 2
+    cap = min(sch.buffer_capacity, sch.episodes * sch.steps_per_episode)
+    maddpg_dim = env.k_max * (2 * env.obs_dim + env.act_dim() + 1) + 1
+    dqn_dim = env.n_ues * (2 * env.dqn_obs_dim + 3)
+    metrics = traced_metrics(cfg, "flare", str(tmp_path / "run"))
+    assert metrics["learn.replay_buffer_bytes"] == 4 * cap * (maddpg_dim + dqn_dim)
