@@ -152,10 +152,11 @@ class FadingField:
         self.env = env
         self.n_ues = int(n_ues)
         self.n_uavs = int(n_uavs)
+        self._stream = seeding.AddressedStream(self.master_seed, seeding.FADING)
 
     def draw(self, frame: int, episode: int, step: int):
         """(rician, rayleigh) gain matrices of shape (n_ues, n_uavs)."""
-        rng = seeding.counter_stream(self.master_seed, seeding.FADING, (frame, episode, step))
+        rng = self._stream.at((frame, episode, step))
         shape = (self.n_ues, self.n_uavs)
         g = rician_power_gain(rng, self.env.rician_k_db, size=shape)
         k = rayleigh_power_gain(rng, size=shape)

@@ -39,13 +39,31 @@ def counter_stream(master_seed: int, name: str, counter: tuple[int, ...]) -> np.
 
     Draws depend only on (master_seed, name, counter) and the order of calls
     made on the returned generator, never on what was drawn at other counters.
-    Philox increments word 0 of its 256-bit counter as values are consumed, so
-    the address components occupy words 1..3 and word 0 stays free-running;
-    distinct addresses cannot collide before 2**64 draws.
     """
-    if len(counter) > 3:
-        raise ValueError("counter has at most 3 components")
-    c = np.zeros(4, dtype=np.uint64)
-    for i, v in enumerate(counter):
-        c[i + 1] = np.uint64(int(v))
-    return np.random.Generator(np.random.Philox(counter=c, key=stream_key(master_seed, name)))
+    return AddressedStream(master_seed, name).at(counter)
+
+
+class AddressedStream:
+    """One Philox generator of a named stream, moved to a counter address per use.
+
+    Philox increments word 0 of its 256-bit counter as values are consumed, so
+    the address components occupy words 1..3 and word 0 starts at 0 and runs
+    free; distinct addresses cannot collide before 2**64 draws. at(counter)
+    sets those words and empties the output buffer, which leaves the generator
+    exactly as a fresh Philox built at that counter. Every at() call returns
+    the same generator, so a caller must finish drawing before the next call.
+    """
+
+    def __init__(self, master_seed: int, name: str):
+        self._bit_generator = np.random.Philox(key=stream_key(master_seed, name))
+        self._generator = np.random.Generator(self._bit_generator)
+        self._state = self._bit_generator.state   # empty buffer, no cached 32-bit half
+
+    def at(self, counter: tuple[int, ...]) -> np.random.Generator:
+        if len(counter) > 3:
+            raise ValueError("counter has at most 3 components")
+        words = np.zeros(4, dtype=np.uint64)
+        words[1:len(counter) + 1] = [int(v) for v in counter]
+        self._state["state"]["counter"] = words
+        self._bit_generator.state = self._state
+        return self._generator

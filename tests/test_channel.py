@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from uavcov import channel
+from uavcov import channel, seeding
 from uavcov.channel import (EnvConstants, FadingField, achievable_rate,
                             effective_power, link_geometry, los_probability,
                             received_power, rayleigh_power_gain, rician_power_gain)
@@ -218,6 +218,40 @@ def test_fading_determinism():
     assert np.array_equal(g1, g2) and np.array_equal(k1, k2)
     g3, _ = field.draw(2, 5, 18)
     assert not np.array_equal(g1, g3)
+
+
+def fresh_philox(master_seed, name, counter):
+    """A new Philox built at counter words [0, *counter], with nothing drawn yet."""
+    words = np.zeros(4, dtype=np.uint64)
+    words[1:len(counter) + 1] = counter
+    return np.random.Generator(np.random.Philox(counter=words,
+                                                key=seeding.stream_key(master_seed, name)))
+
+
+def test_fading_draw_equals_a_fresh_stream_at_its_address():
+    # one Philox per field, re-addressed per draw, in any order and repeated
+    field = FadingField(4321, ENV, n_ues=7, n_uavs=3)
+    for address in [(0, 0, 0), (3, 1, 9), (0, 0, 1), (3, 1, 9), (0, 0, 0), (2, 19, 199),
+                    (1, 0, 0), (0, 0, 1)]:
+        g, k = field.draw(*address)
+        for rng in (seeding.counter_stream(4321, seeding.FADING, address),
+                    fresh_philox(4321, seeding.FADING, address)):
+            assert np.array_equal(g, rician_power_gain(rng, ENV.rician_k_db, size=(7, 3)))
+            assert np.array_equal(k, rayleigh_power_gain(rng, size=(7, 3)))
+
+
+def test_addressed_streams_equal_a_fresh_philox():
+    # an odd count of 32-bit draws leaves a cached half-word and a part-used
+    # buffer behind; the next address must start clean
+    stream = seeding.AddressedStream(11, seeding.MOBILITY)
+    for counter in [(), (5,), (0, 7), (1, 2, 3), (5,), (2 ** 64 - 1, 0, 2 ** 63)]:
+        for got in (stream.at(counter), seeding.counter_stream(11, seeding.MOBILITY, counter)):
+            ref = fresh_philox(11, seeding.MOBILITY, counter)
+            assert np.array_equal(got.integers(0, 2 ** 31, 3, dtype=np.uint32),
+                                  ref.integers(0, 2 ** 31, 3, dtype=np.uint32))
+            assert np.array_equal(got.normal(size=9), ref.normal(size=9))
+    with pytest.raises(ValueError):
+        seeding.counter_stream(11, seeding.MOBILITY, (1, 2, 3, 4))
 
 
 def test_fading_unit_means():

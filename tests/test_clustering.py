@@ -1,12 +1,23 @@
-"""K-means, silhouette and cluster-count selection against brute force."""
+"""K-means, silhouette and cluster-count selection against brute force.
 
+The batched Lloyd and the array silhouette are also held to per-run, per-point
+reference implementations (the loop forms they replaced) bit for bit.
+"""
+
+import importlib.util
+import os
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from uavcov.clustering import (ClusterPlan, kmeans, match_to_previous, place_uavs,
-                               select_k, silhouette_sample, silhouette_samples)
+from uavcov import clustering, experiment, seeding
+from uavcov.clustering import (KMEANS_RESTARTS, MAX_LLOYD_ITERATIONS, ClusterPlan,
+                               kmeans, match_to_previous, place_uavs, select_k,
+                               silhouette_samples)
+from uavcov.config import build_config
+
+WORKLOADS_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "workloads.py")
 
 
 def brute_force_silhouette(points, labels):
@@ -26,6 +37,160 @@ def brute_force_silhouette(points, labels):
         b = min(bs)
         out[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
     return out
+
+
+def reference_lloyd(points, centroids):
+    """One Lloyd run at a time; the repair donor comes from a cluster of 2 or more."""
+    n, k = points.shape[0], centroids.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    inertia = np.inf
+    for _ in range(MAX_LLOYD_ITERATIONS):
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        new_labels = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_labels == c):
+                far = d2[np.arange(n), new_labels].copy()
+                sizes = np.bincount(new_labels, minlength=k)
+                far[sizes[new_labels] < 2] = -np.inf
+                worst = int(np.argmax(far))
+                new_labels[worst] = c
+                d2[worst, :] = np.inf
+                d2[worst, c] = 0.0
+        new_inertia = float(d2[np.arange(n), new_labels].sum())
+        if new_inertia > inertia + 1e-9 * max(1.0, inertia):
+            raise AssertionError("k-means inertia increased")
+        if np.array_equal(new_labels, labels):
+            inertia = new_inertia
+            break
+        labels = new_labels
+        inertia = new_inertia
+        for c in range(k):
+            centroids[c] = points[labels == c].mean(axis=0)
+    return labels, centroids, inertia
+
+
+def reference_kmeans(points, k, rng, n_init=KMEANS_RESTARTS):
+    best = None
+    for _ in range(n_init):
+        seed_centroids = clustering._kmeanspp_seed(points, k, rng)
+        labels, centroids, inertia = reference_lloyd(points, seed_centroids.copy())
+        if best is None or inertia < best[2]:
+            best = (labels, centroids, inertia)
+    return best
+
+
+def reference_silhouette(points, labels):
+    """Per-point loop over the same per-cluster distance sums."""
+    clusters = np.unique(labels)
+    n = points.shape[0]
+    dist = np.sqrt(np.maximum(0.0, np.sum((points[:, None, :] - points[None, :, :]) ** 2, axis=2)))
+    sums = np.stack([dist[:, labels == c].sum(axis=1) for c in clusters], axis=1)
+    counts = np.array([(labels == c).sum() for c in clusters])
+    s = np.zeros(n, dtype=float)
+    for i in range(n):
+        own = int(np.where(clusters == labels[i])[0][0])
+        if counts[own] <= 1:
+            continue
+        a = sums[i, own] / (counts[own] - 1)
+        b = min(sums[i, c] / counts[c] for c in range(clusters.size) if c != own)
+        denom = max(a, b)
+        s[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    return s
+
+
+def reference_select_k(points, k_max, rng):
+    best = None
+    for k in range(2, min(k_max, len(points)) + 1):
+        labels, centroids, _ = reference_kmeans(points, k, rng)
+        score = float(reference_silhouette(points, labels).mean())
+        if best is None or score > best[0]:
+            best = (score, k, labels, centroids)
+    return best
+
+
+def assert_same_kmeans(got, ref):
+    assert np.array_equal(got[0], ref[0])
+    assert np.array_equal(got[1], ref[1])
+    assert got[2] == ref[2]
+
+
+def assert_same_plan(plan, ref):
+    score, k_star, labels, centroids = ref
+    assert plan.k_star == k_star
+    assert np.array_equal(plan.assignment, labels)
+    assert np.array_equal(plan.centroids, centroids)
+    assert plan.silhouette_mean == score
+
+
+def world_frames():
+    """(seed, frame, UE positions, cluster plan) of the benchmark's world workload."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in (1, 2, 3):
+        cfg = build_config(dict(workloads.WORLD_OVERRIDES, seeds=[seed]))
+        grid = experiment._grid_for(cfg, seed)
+        for frame, (_, pts, plan) in enumerate(experiment._frames(cfg, seed, grid)):
+            yield seed, frame, pts, plan
+
+
+def test_batched_kmeans_matches_per_run_reference_on_world_frames():
+    for seed, frame, pts, plan in world_frames():
+        ref = reference_select_k(pts, 5, seeding.counter_stream(seed, seeding.CLUSTERING, (frame,)))
+        assert_same_plan(plan, ref)
+        for k in (2, 5):
+            assert_same_kmeans(kmeans(pts, k, np.random.default_rng(frame)),
+                               reference_kmeans(pts, k, np.random.default_rng(frame)))
+
+
+def awkward_point_sets():
+    rng = np.random.default_rng(77)
+    for trial in range(40):
+        n = int(rng.integers(3, 25))
+        yield rng.uniform(0, 1000, (n, 2))                        # generic
+        yield rng.integers(0, 4, (n, 2)).astype(float) * 100.0    # many duplicates
+    for n in (3, 4, 5):
+        yield rng.uniform(0, 10, (n, 2))                          # n <= k_max: k runs up to n
+    side = np.arange(3.0) * 50.0
+    yield np.array([(x, y) for x in side for y in side])          # lattice: tied restarts
+    yield np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 2)
+    yield np.array([[0.0, 0.0], [1e-9, 0.0], [1.0, 0.0], [1.0, 1e-9], [0.5, 3.0]])
+
+
+def test_batched_kmeans_matches_per_run_reference_on_awkward_sets():
+    for i, pts in enumerate(awkward_point_sets()):
+        n = len(pts)
+        for k in sorted({1, 2, min(5, n), n}):
+            assert_same_kmeans(kmeans(pts, k, np.random.default_rng(i)),
+                               reference_kmeans(pts, k, np.random.default_rng(i)))
+        if len(np.unique(pts, axis=0)) > 1:
+            assert_same_plan(select_k(pts, 5, np.random.default_rng(i)),
+                             reference_select_k(pts, 5, np.random.default_rng(i)))
+
+
+def test_kmeans_with_fewer_distinct_points_than_k_keeps_every_cluster():
+    # all distances reach 0: the farthest point is a singleton's only member,
+    # which once emptied that cluster and left a NaN centroid and inertia
+    pts = np.array([[400, 200], [600, 200], [600, 1000], [200, 600], [600, 200], [600, 200]],
+                   dtype=float)
+    for s in range(200):
+        labels, centroids, inertia = kmeans(pts, 5, np.random.default_rng(s))
+        assert np.isfinite(inertia)
+        assert np.array_equal(np.unique(labels), np.arange(5))
+        assert np.all(np.isfinite(centroids))
+
+
+def test_silhouette_matches_per_point_reference():
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        n = int(rng.integers(2, 20))
+        pts = rng.uniform(0, 100, (n, 2))
+        if trial % 3 == 0:
+            pts = np.round(pts / 40.0) * 40.0        # coincident points, a = b = 0
+        labels = rng.choice([0, 3, 7, 8], size=n)   # non-contiguous labels, singletons
+        if len(set(labels.tolist())) < 2:
+            continue
+        assert np.array_equal(silhouette_samples(pts, labels), reference_silhouette(pts, labels))
 
 
 def test_kmeans_identical_points():
@@ -81,17 +246,22 @@ def test_kmeans_rejects_empty():
         kmeans(np.empty((0, 2)), 2, np.random.default_rng(0))
 
 
+def test_kmeans_rejects_k_beyond_n():
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((3, 2)), 4, np.random.default_rng(0))
+
+
 def test_silhouette_hand_example():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [10.0, 0.0], [11.0, 0.0]])
     labels = np.array([0, 0, 1, 1])
-    s0 = silhouette_sample(0, labels, pts)
+    s0 = silhouette_samples(pts, labels)[0]
     assert s0 == pytest.approx((10.5 - 1.0) / 10.5, rel=1e-12)
 
 
 def test_silhouette_conventions():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     labels = np.array([0, 1, 1])
-    assert silhouette_sample(0, labels, pts) == 0.0  # singleton
+    assert silhouette_samples(pts, labels)[0] == 0.0  # singleton
     coincident = np.zeros((4, 2))
     labels2 = np.array([0, 0, 1, 1])
     assert np.all(silhouette_samples(coincident, labels2) == 0.0)

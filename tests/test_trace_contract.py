@@ -4,8 +4,9 @@ perfbench/spans.py patches functions and methods where their callers look
 them up (`vars(owner)[attr]`). A rename or a moved import breaks only traced
 benchmark runs, so this test installs the recorder around a tiny flare run.
 The recorder's counts also pin that a static frame is one evaluate call over
-its whole horizon, with one fading draw per step, and that a flare run
-allocates its replay once, not per slot or per frame.
+its whole horizon, with one fading draw per step, that the silhouette runs
+under its wrapped name, and that a flare run allocates its replay once, not
+per slot or per frame.
 """
 
 import importlib.util
@@ -65,6 +66,8 @@ def test_static_frames_evaluate_their_horizon_in_one_call(tmp_path):
     metrics = traced_metrics(cfg, "static", str(tmp_path / "run"))
     assert metrics["env.evaluate_calls"] == cfg.frames
     assert metrics["channel.fading_draw_calls"] == cfg.frames * cfg.eval_steps
+    # select_k scores each k through the wrapped clustering.silhouette_samples
+    assert metrics["clustering.silhouette_s"] > 0
 
 
 def test_flare_allocates_its_replay_once_per_run(tmp_path):
