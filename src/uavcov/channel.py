@@ -39,28 +39,6 @@ class EnvConstants:
             raise ValueError("noise_power must be positive")
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    d: float      # horizontal distance, m
-    r: float      # 3D distance, m
-    theta: float  # elevation angle, rad
-
-
-def link_geometry(ue_xy, uav_xyz) -> LinkGeometry:
-    """Geometry of a single ground-to-air link. UAV altitude must be > 0."""
-    ue = np.asarray(ue_xy, dtype=float)
-    uav = np.asarray(uav_xyz, dtype=float)
-    if not (np.all(np.isfinite(ue)) and np.all(np.isfinite(uav))):
-        raise ValueError("non-finite coordinates")
-    h = float(uav[2])
-    if h <= 0:
-        raise ValueError("UAV altitude must be positive")
-    d = float(np.hypot(uav[0] - ue[0], uav[1] - ue[1]))
-    r = float(np.hypot(d, h))
-    theta = float(np.arcsin(h / r))
-    return LinkGeometry(d=d, r=r, theta=theta)
-
-
 def horizontal_distances(ue_xy, uav_xy):
     """(n, m) ground distances from UE positions (n,2) to UAV positions (m,2)."""
     ue = np.asarray(ue_xy, dtype=float)

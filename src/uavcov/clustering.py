@@ -173,12 +173,12 @@ def silhouette_samples(points, assignment) -> np.ndarray:
 def select_k(points, k_max: int, rng: np.random.Generator) -> ClusterPlan:
     """Cluster with the silhouette-maximizing k in {2..k_max}, ties to smaller k.
 
-    Fewer than 3 points or fully coincident points fall back to a single
-    cluster (silhouette undefined below 2 clusters).
+    Fewer than 3 points, fully coincident points or k_max below 2 fall back to
+    a single cluster (silhouette undefined below 2 clusters).
     """
     pts = np.asarray(points, dtype=float)
     n = pts.shape[0]
-    degenerate = n < 3 or np.all(np.all(pts == pts[0], axis=1))
+    degenerate = n < 3 or k_max < 2 or np.all(np.all(pts == pts[0], axis=1))
     if degenerate:
         return ClusterPlan(
             k_star=1,

@@ -1,12 +1,16 @@
 """Experiment configuration: defaults, profiles, flat-file parsing, hashing.
 
-The on-disk format is flat `key = value` lines (UTF-8, # comments). Every key
-of the resolved configuration round-trips through dump/parse, and each run
-directory receives the fully resolved dump so results are self-describing.
+The on-disk format is flat `key = value` lines (UTF-8, # comments). Every
+field of the four dataclasses (EnvConstants, EnvConfig, TrainSchedule and the
+top-level fields of ExperimentConfig) is a key of the same name, parsed and
+formatted by its annotation. Every key of the resolved configuration
+round-trips through dump/parse, and each run directory receives the fully
+resolved dump so results are self-describing.
 """
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple
 
 from .channel import EnvConstants
 from .env import EnvConfig
@@ -75,106 +79,57 @@ DESK_OVERRIDES = {
     "eps_end": 0.25,
 }
 
-_POINT_LIST = "point_list"
-_INT_LIST = "int_list"
-_INT_TUPLE = "int_tuple"
-_OPT_POINTS = "opt_points"
 
-# key -> (section attribute or None for top level, field name, type)
-_KEYS: dict[str, tuple[str | None, str, object]] = {
-    # propagation constants
-    "b": ("constants", "b", float),
-    "c": ("constants", "c", float),
-    "alpha_los": ("constants", "alpha_los", float),
-    "alpha_nlos": ("constants", "alpha_nlos", float),
-    "noise_power": ("constants", "noise_power", float),
-    "rician_k_db": ("constants", "rician_k_db", float),
-    # environment
-    "n_ues": ("env", "n_ues", int),
-    "k_max": ("env", "k_max", int),
-    "p_max": ("env", "p_max", float),
-    "b_max": ("env", "b_max", float),
-    "block_size": ("env", "block_size", float),
-    "block_limit": ("env", "block_limit", int),
-    "h_min": ("env", "h_min", float),
-    "h_max": ("env", "h_max", float),
-    "r_th": ("env", "r_th", float),
-    "max_cluster_size": ("env", "max_cluster_size", int),
-    "p_avg_mode": ("env", "p_avg_mode", str),
-    # training schedule
-    "episodes": ("schedule", "episodes", int),
-    "steps_per_episode": ("schedule", "steps_per_episode", int),
-    "lr": ("schedule", "lr", float),
-    "dqn_lr": ("schedule", "dqn_lr", float),
-    "gamma": ("schedule", "gamma", float),
-    "tau": ("schedule", "tau", float),
-    "batch_size": ("schedule", "batch_size", int),
-    "buffer_capacity": ("schedule", "buffer_capacity", int),
-    "warmup_transitions": ("schedule", "warmup_transitions", int),
-    "update_interval": ("schedule", "update_interval", int),
-    "dqn_update_interval": ("schedule", "dqn_update_interval", int),
-    "hidden": ("schedule", "hidden", _INT_TUPLE),
-    "sigma_start": ("schedule", "sigma_start", float),
-    "sigma_end": ("schedule", "sigma_end", float),
-    "sigma_frac": ("schedule", "sigma_frac", float),
-    "eps_start": ("schedule", "eps_start", float),
-    "eps_end": ("schedule", "eps_end", float),
-    "eps_frac": ("schedule", "eps_frac", float),
-    "critic_mode": ("schedule", "critic_mode", str),
-    # world / harness
-    "grid_width": (None, "grid_width", int),
-    "grid_height": (None, "grid_height", int),
-    "cell_size_m": (None, "cell_size_m", float),
-    "attraction_prob": (None, "attraction_prob", float),
-    "n_attraction_points": (None, "n_attraction_points", int),
-    "attraction_points": (None, "attraction_points", _OPT_POINTS),
-    "frames": (None, "frames", int),
-    "method": (None, "method", str),
-    "seeds": (None, "seeds", _INT_LIST),
-    "out_dir": (None, "out_dir", str),
-    "profile": (None, "profile", str),
-    "maddpg_bw_mode": (None, "maddpg_bw_mode", str),
-    "metrics_interval": (None, "metrics_interval", int),
-    "eval_steps": (None, "eval_steps", int),
+def _int_list(raw: str) -> list[int]:
+    return [int(v) for v in raw.split(",") if v.strip()]
+
+
+def _format_ints(value) -> str:
+    return ",".join(str(int(v)) for v in value)
+
+
+def _parse_points(raw: str) -> list[tuple[int, int]] | None:
+    if raw.lower() in ("", "none", "auto"):
+        return None
+    return [(int(x), int(y)) for x, y in (part.split(",") for part in raw.split(";"))]
+
+
+def _format_points(value) -> str:
+    return "auto" if value is None else ";".join(f"{x},{y}" for x, y in value)
+
+
+# field annotation -> (parse the stripped text, format the value)
+_CODECS = {
+    int: (int, str),
+    float: (float, lambda value: repr(float(value))),
+    str: (str, str),
+    list[int]: (_int_list, _format_ints),
+    tuple[int, ...]: (lambda raw: tuple(_int_list(raw)), _format_ints),
+    list[tuple[int, int]] | None: (_parse_points, _format_points),
+}
+
+
+class _Key(NamedTuple):
+    section: str | None  # ExperimentConfig attribute holding the field; None: top level
+    parse: Callable[[str], object]
+    format: Callable[[object], str]
+
+
+# The nested dataclass fields of ExperimentConfig are its sections.
+_SECTIONS = {f.name: f.type for f in fields(ExperimentConfig) if is_dataclass(f.type)}
+_KEYS: dict[str, _Key] = {
+    f.name: _Key(section, *_CODECS[f.type])
+    for section, cls in [*_SECTIONS.items(), (None, ExperimentConfig)]
+    for f in fields(cls) if f.name not in _SECTIONS
 }
 
 
 def _parse_value(key: str, raw: str):
-    _, _, typ = _KEYS[key]
     raw = raw.strip()
     try:
-        if typ is int:
-            return int(raw)
-        if typ is float:
-            return float(raw)
-        if typ is str:
-            return raw
-        if typ is _INT_LIST:
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if typ is _INT_TUPLE:
-            return tuple(int(v) for v in raw.split(",") if v.strip())
-        if typ is _OPT_POINTS:
-            if raw.lower() in ("", "none", "auto"):
-                return None
-            pts = []
-            for part in raw.split(";"):
-                x, y = part.split(",")
-                pts.append((int(x), int(y)))
-            return pts
+        return _KEYS[key].parse(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw}") from exc
-    raise ConfigError(f"invalid value for key '{key}': {raw}")
-
-
-def _format_value(key: str, value) -> str:
-    _, _, typ = _KEYS[key]
-    if typ is _INT_LIST or typ is _INT_TUPLE:
-        return ",".join(str(int(v)) for v in value)
-    if typ is _OPT_POINTS:
-        return "auto" if value is None else ";".join(f"{x},{y}" for x, y in value)
-    if typ is float:
-        return repr(float(value))
-    return str(value)
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -205,21 +160,13 @@ def build_config(overrides: dict[str, object]) -> ExperimentConfig:
     merged.update(overrides)
     merged["profile"] = profile
 
-    sections = {"constants": {}, "env": {}, "schedule": {}}
+    parts: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     top: dict[str, object] = {}
     for key, value in merged.items():
-        section, attr, _ = _KEYS[key]
-        if section is None:
-            top[attr] = value
-        else:
-            sections[section][attr] = value
+        section = _KEYS[key].section
+        (top if section is None else parts[section])[key] = value
     try:
-        cfg = ExperimentConfig(
-            constants=EnvConstants(**sections["constants"]),
-            env=EnvConfig(**sections["env"]),
-            schedule=TrainSchedule(**sections["schedule"]),
-            **top,
-        )
+        cfg = ExperimentConfig(**{name: _SECTIONS[name](**kw) for name, kw in parts.items()}, **top)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -229,13 +176,10 @@ def build_config(overrides: dict[str, object]) -> ExperimentConfig:
 
 def dump_config(cfg: ExperimentConfig, extra: dict[str, object] | None = None) -> str:
     """Flat, sorted, fully resolved key = value text (round-trips via parse)."""
-    values: dict[str, str] = {}
-    for key, (section, attr, _) in _KEYS.items():
-        obj = cfg if section is None else getattr(cfg, section)
-        values[key] = _format_value(key, getattr(obj, attr))
-    if extra:
-        for k, v in extra.items():
-            values[k] = _format_value(k, v) if k in _KEYS else str(v)
+    values = {key: k.format(getattr(cfg if k.section is None else getattr(cfg, k.section), key))
+              for key, k in _KEYS.items()}
+    for key, value in (extra or {}).items():
+        values[key] = _KEYS[key].format(value) if key in _KEYS else str(value)
     return "".join(f"{k} = {values[k]}\n" for k in sorted(values))
 
 

@@ -43,6 +43,10 @@ class EnvConfig:
             self.max_cluster_size = self.n_ues
         if abs(self.block_limit * self.block_size - self.b_max) > 1e-6:
             raise ValueError("block_limit * block_size must equal b_max")
+        if self.k_max < 1:
+            raise ValueError(f"k_max must be at least 1, got {self.k_max}")
+        if self.h_min <= 0:
+            raise ValueError(f"h_min must be positive, got {self.h_min}")
         if not self.h_min < self.h_max:
             raise ValueError("h_min must be below h_max")
         if self.p_max <= 0:
@@ -311,10 +315,6 @@ class FrameWorld:
         self.audit["C7"] += T * int(np.count_nonzero(~in_band))
 
     # ----- summaries -----
-
-    def served_total(self) -> int:
-        """Users whose rate meets the threshold at the latest evaluation."""
-        return int(self.served.sum())
 
     def committed_total(self) -> int:
         """Users served at some evaluation this episode, allocation locked."""

@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import clustering, mobility, seeding
-from .channel import (EnvConstants, FadingField, effective_power, link_geometry,
-                      los_probability, received_power, rician_power_gain,
-                      rayleigh_power_gain)
+from .channel import (EnvConstants, FadingField, effective_power, los_probability,
+                      received_power, rician_power_gain, rayleigh_power_gain,
+                      slant_geometry)
 from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
 from .learn import (DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
@@ -85,13 +85,6 @@ class CsvWriter:
 
     def close(self):
         self._fh.close()
-
-
-def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
-    return header, rows
 
 
 # ----- single run -----
@@ -378,12 +371,12 @@ def oracle_table(cfg: ExperimentConfig, out_path: str | None = None) -> list[dic
     p_tx = env_cfg.p_max / max(1, env_cfg.n_ues // env_cfg.k_max)
     rows = []
     for d in range(0, 3001, 250):
-        geom = link_geometry((0.0, 0.0), (float(d), 0.0, h))
-        p_los = los_probability(geom.theta, consts)
+        r, theta = slant_geometry(float(d), h)
+        p_los = los_probability(theta, consts)
         p_eff = effective_power(
             p_los,
-            received_power(p_tx, geom.r, 1.0, consts.alpha_los),
-            received_power(p_tx, geom.r, 1.0, consts.alpha_nlos),
+            received_power(p_tx, r, 1.0, consts.alpha_los),
+            received_power(p_tx, r, 1.0, consts.alpha_nlos),
         )
         oracle = oracle_min_blocks(p_eff, 0.0, consts.noise_power, env_cfg.r_th,
                                    env_cfg.block_size, env_cfg.block_limit)
@@ -427,12 +420,12 @@ def sample_static_link(rng: np.random.Generator, env_cfg: EnvConfig,
         p_tx = rng.uniform(0.1, env_cfg.p_max)
         g = rician_power_gain(rng, consts.rician_k_db)
         k = rayleigh_power_gain(rng)
-        geom = link_geometry((0.0, 0.0), (d, 0.0, h))
-        p_los = los_probability(geom.theta, consts)
+        r, theta = slant_geometry(d, h)
+        p_los = los_probability(theta, consts)
         p_eff = effective_power(
             p_los,
-            received_power(p_tx, geom.r, g, consts.alpha_los),
-            received_power(p_tx, geom.r, k, consts.alpha_nlos),
+            received_power(p_tx, r, g, consts.alpha_los),
+            received_power(p_tx, r, k, consts.alpha_nlos),
         )
         per_block = env_cfg.block_size * np.log2(1.0 + p_eff / consts.noise_power)
         if per_block <= 0.0:

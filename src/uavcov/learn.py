@@ -51,7 +51,8 @@ class TrainSchedule:
     critic_mode: str = "central"  # "central" or "local"
 
     def __post_init__(self):
-        for key in ("episodes", "steps_per_episode"):
+        for key in ("episodes", "steps_per_episode", "batch_size", "buffer_capacity",
+                    "update_interval"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.tau <= 1.0:

@@ -1,8 +1,13 @@
 """Shared world builders for the environment and learning tests."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import uavcov
 from uavcov.channel import EnvConstants, FadingField
 from uavcov.clustering import ClusterPlan
 from uavcov.env import EnvConfig, FrameWorld
@@ -17,6 +22,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def run_cli(*args) -> subprocess.CompletedProcess:
+    """`python -m uavcov.cli ARGS` in a child that imports the package under test."""
+    src = os.path.dirname(os.path.dirname(uavcov.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "uavcov.cli", *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
 
 
 def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, uavs=None, **env_kw):

@@ -6,8 +6,6 @@ three paired seeds through a session fixture shared by those tests.
 
 import math
 import os
-import subprocess
-import sys
 import time
 from decimal import Decimal, getcontext
 
@@ -23,7 +21,7 @@ from uavcov.experiment import block_search_benchmark, run_single
 from uavcov.learn import TrainSchedule
 from uavcov.nn import Mlp
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, run_cli
 
 getcontext().prec = 50
 
@@ -290,10 +288,8 @@ def test_criterion_8_determinism(tmp_path):
     out = tmp_path / "runs"
     first: dict[str, bytes] = {}
     for attempt in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-m", "uavcov.cli", "train", "--config", str(cfg_path),
-             "--method", "flare", "--out", str(out)],
-            capture_output=True, text=True)
+        proc = run_cli("train", "--config", str(cfg_path), "--method", "flare",
+                       "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         run_dir = out / "flare_seed5"
         if attempt == 0:

@@ -1,17 +1,41 @@
 """Link-budget math: worked examples, invariants, fading statistics."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from uavcov import channel, seeding
 from uavcov.channel import (EnvConstants, FadingField, achievable_rate,
-                            effective_power, link_geometry, los_probability,
+                            effective_power, los_probability,
                             received_power, rayleigh_power_gain, rician_power_gain)
 from uavcov.env import EnvConfig
 
 from conftest import build_world
 
 ENV = EnvConstants()
+
+
+@dataclass(frozen=True)
+class LinkGeometry:
+    d: float      # horizontal distance, m
+    r: float      # 3D distance, m
+    theta: float  # elevation angle, rad
+
+
+def link_geometry(ue_xy, uav_xyz) -> LinkGeometry:
+    """Scalar oracle for one ground-to-air link. UAV altitude must be > 0."""
+    ue = np.asarray(ue_xy, dtype=float)
+    uav = np.asarray(uav_xyz, dtype=float)
+    if not (np.all(np.isfinite(ue)) and np.all(np.isfinite(uav))):
+        raise ValueError("non-finite coordinates")
+    h = float(uav[2])
+    if h <= 0:
+        raise ValueError("UAV altitude must be positive")
+    d = float(np.hypot(uav[0] - ue[0], uav[1] - ue[1]))
+    r = float(np.hypot(d, h))
+    theta = float(np.arcsin(h / r))
+    return LinkGeometry(d=d, r=r, theta=theta)
 
 
 class StubFading:

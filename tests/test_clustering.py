@@ -321,6 +321,19 @@ def test_select_k_degenerate():
     assert -1.0 <= plan.silhouette_mean <= 1.0
 
 
+def test_select_k_single_uav_is_one_cluster():
+    # k_max = 1 leaves no k in {2..k_max}: one cluster, drawing nothing
+    rng = np.random.default_rng(11)
+    pts = make_blobs(rng, [(0, 0), (5000, 0)], 6, 100.0)
+    state = rng.bit_generator.state
+    plan = select_k(pts, 1, rng)
+    assert rng.bit_generator.state == state
+    assert plan.k_star == 1 and plan.active_uavs == [0]
+    assert np.all(plan.assignment == 0)
+    assert plan.centroids == pytest.approx(pts.mean(axis=0, keepdims=True))
+    assert plan.silhouette_mean == 0.0
+
+
 def test_select_k_is_argmax_over_candidates():
     rng = np.random.default_rng(12)
     pts = make_blobs(rng, [(0, 0), (5000, 0), (0, 5000), (5000, 5000)], 8, 100.0)

@@ -110,7 +110,7 @@ def test_reward_counting_identity(world_factory):
     for step in range(5):
         _, served, rewards, ue_rewards = world.evaluate(0, step)
         assert rewards.sum() == served.sum() == ue_rewards.sum()
-        assert world.served_total() == int(served.sum())
+        assert int(world.served.sum()) == int(served.sum())
 
 
 def test_oracle_minimum_blocks_serve_exactly(world_factory):

@@ -1,21 +1,22 @@
 """Harness: oracle values, baselines, config files, CLI, emitted artifacts."""
 
+import hashlib
 import json
 import math
 import os
-import subprocess
-import sys
+from dataclasses import fields, is_dataclass
 
 import pytest
 
 from uavcov import experiment
-from uavcov.channel import (EnvConstants, effective_power, link_geometry,
-                            los_probability, received_power)
+from uavcov.channel import EnvConstants, effective_power, los_probability, received_power
 from uavcov.cli import main
-from uavcov.config import (ConfigError, build_config, config_hash, dump_config,
-                           parse_config_text)
-from uavcov.experiment import (CsvWriter, OracleBlocks, oracle_min_blocks,
-                               read_csv, run_single)
+from uavcov.config import (ConfigError, ExperimentConfig, build_config, config_hash,
+                           dump_config, parse_config_text)
+from uavcov.experiment import CsvWriter, OracleBlocks, oracle_min_blocks, run_single
+
+from conftest import run_cli
+from test_channel import link_geometry
 
 CONSTS = EnvConstants()
 
@@ -28,6 +29,13 @@ def tiny_config(**kw):
     overrides = dict(TINY)
     overrides.update(kw)
     return build_config(overrides)
+
+
+def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        rows = [[float(v) for v in line.strip().split(",")] for line in fh if line.strip()]
+    return header, rows
 
 
 def test_oracle_single_block():
@@ -89,6 +97,32 @@ def test_config_roundtrip_and_hash():
     assert config_hash(moved) == config_hash(cfg)
 
 
+def test_config_keys_are_the_dataclass_fields():
+    # every field of the three sections and every plain ExperimentConfig
+    # field is a key of the same name, dumped once and parsed back
+    cfg = build_config({})
+    sections = {f.name for f in fields(ExperimentConfig) if is_dataclass(f.type)}
+    names = [f.name for f in fields(ExperimentConfig) if f.name not in sections]
+    for section in sections:
+        names += [f.name for f in fields(getattr(cfg, section))]
+    assert len(names) == len(set(names)) == 50
+    text = dump_config(cfg)
+    assert [line.split(" = ")[0] for line in text.splitlines()] == sorted(names)
+    assert set(parse_config_text(text)) == set(names)
+
+
+def test_config_dump_bytes_pinned():
+    # config.txt and the config hash identify every run; a change to either
+    # is a change to every run directory
+    cfgs = [build_config({}), build_config({"profile": "full"})]  # desk, full
+    assert [hashlib.sha256(dump_config(c).encode("utf-8")).hexdigest() for c in cfgs] == [
+        "befca6012f3643bb89973c60e81a94e25de303271b009d7603793d2ed4fcd6dc",
+        "fae58aa991eda26f1ed9c343e5081f60863f4086d6fa4dc4e5650e2c0ff5b10d"]
+    assert [config_hash(c) for c in cfgs] == [
+        "57324567e0757b468b570dc56b44c58953bedf45c56376841af578cd39728ea7",
+        "87372d461abd2344a1905c544a5fcfcca0faa69c1132ce56816e5d6fe6761815"]
+
+
 def test_config_unknown_key_named():
     with pytest.raises(ConfigError, match="bogus_key"):
         parse_config_text("bogus_key = 3\n")
@@ -97,13 +131,40 @@ def test_config_unknown_key_named():
 
 
 @pytest.mark.parametrize("key,value", [("episodes", 0), ("steps_per_episode", 0),
-                                       ("frames", 0), ("eval_steps", -1)])
+                                       ("frames", 0), ("eval_steps", -1),
+                                       ("batch_size", 0), ("buffer_capacity", 0),
+                                       ("update_interval", 0), ("update_interval", -2),
+                                       ("k_max", 0), ("h_min", 0.0), ("h_min", -100.0)])
 def test_degenerate_schedule_rejected(key, value):
-    # each would divide by zero, average nothing or silently fall back
+    # each would divide by zero, average nothing, silently fall back, leave no
+    # UAV to fly or fly one at or below the ground
     with pytest.raises(ConfigError, match=key):
         tiny_config(**{key: value})
     with pytest.raises(ConfigError, match=key):
         build_config(parse_config_text(f"{key} = {value}\n"))
+
+
+def test_k_max_one_runs_every_method():
+    cfg = tiny_config(k_max=1)
+    for method in ("static", "maddpg_only", "flare"):
+        summary = run_single(cfg, method, 1, quiet=True)
+        assert [f["k_star"] for f in summary.frames] == [1] * cfg.frames
+        assert all(v == 0 for v in summary.audit.values())
+
+
+def test_oracle_table_matches_scalar_geometry():
+    cfg = build_config({})
+    env = cfg.env
+    for row in experiment.oracle_table(cfg):
+        geom = link_geometry((0.0, 0.0), (row["distance_m"], 0.0, row["altitude_m"]))
+        p_eff = effective_power(
+            los_probability(geom.theta, CONSTS),
+            received_power(row["p_tx_w"], geom.r, 1.0, CONSTS.alpha_los),
+            received_power(row["p_tx_w"], geom.r, 1.0, CONSTS.alpha_nlos),
+        )
+        got = oracle_min_blocks(p_eff, 0.0, CONSTS.noise_power, env.r_th, env.block_size,
+                                env.block_limit)
+        assert (row["blocks"], row["within_budget"]) == (got.blocks, got.within_budget)
 
 
 def test_csv_round_trip(tmp_path):
@@ -246,14 +307,13 @@ def test_cli_invalid_config_names_key(tmp_path, capsys):
 
 
 def test_cli_unknown_flag_nonzero():
-    proc = subprocess.run([sys.executable, "-m", "uavcov.cli", "train", "--bogus"],
-                          capture_output=True, text=True)
+    proc = run_cli("train", "--bogus")
     assert proc.returncode != 0
+    assert "--bogus" in proc.stderr
 
 
 def test_cli_help_documents_flags():
-    proc = subprocess.run([sys.executable, "-m", "uavcov.cli", "train", "--help"],
-                          capture_output=True, text=True)
+    proc = run_cli("train", "--help")
     assert proc.returncode == 0
     for flag in ("--config", "--seed", "--method", "--rate-threshold", "--frames",
                  "--episodes", "--out"):

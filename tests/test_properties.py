@@ -109,7 +109,7 @@ def check_invariants(world: FrameWorld):
     # serve-and-freeze bookkeeping
     assert not (world.served & ~world.frozen).any()
     assert world.committed_total() == np.count_nonzero(world.frozen & world.mask)
-    assert world.served_total() == np.count_nonzero(world.served & world.mask)
+    assert world.served.sum() == np.count_nonzero(world.served & world.mask)
     assert sum(world.committed_per_agent()) == world.committed_total()
 
 
