@@ -47,26 +47,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flag attribute -> the config key it overrides; an absent or empty flag is ignored
+_FLAG_KEYS = {
+    "profile": "profile",
+    "seed": "seeds",
+    "method": "method",
+    "rate_threshold": "r_th",
+    "frames": "frames",
+    "episodes": "episodes",
+    "out": "out_dir",
+}
+
+
 def _config_from_args(args) -> "experiment.ExperimentConfig":
     overrides = {}
-    if args.config:
-        if args.config != "default":
-            with open(args.config, encoding="utf-8") as fh:
-                overrides.update(parse_config_text(fh.read()))
-    if args.profile:
-        overrides["profile"] = args.profile
-    if args.seed:
-        overrides["seeds"] = list(args.seed)
-    if args.method:
-        overrides["method"] = args.method
-    if args.rate_threshold is not None:
-        overrides["r_th"] = args.rate_threshold
-    if args.frames is not None:
-        overrides["frames"] = args.frames
-    if args.episodes is not None:
-        overrides["episodes"] = args.episodes
-    if args.out:
-        overrides["out_dir"] = args.out
+    if args.config and args.config != "default":
+        with open(args.config, encoding="utf-8") as fh:
+            overrides.update(parse_config_text(fh.read()))
+    for attr, key in _FLAG_KEYS.items():
+        value = getattr(args, attr)
+        if value not in (None, ""):
+            overrides[key] = value
     return build_config(overrides)
 
 
@@ -74,10 +75,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,16 +45,20 @@ class ExperimentConfig:
     eval_steps: int = 0             # 0: schedule.steps_per_episode
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigError(f"invalid value for key 'method': {self.method}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"invalid value for key 'profile': {self.profile}")
-        if self.maddpg_bw_mode not in ("equal", "learned"):
-            raise ConfigError(f"invalid value for key 'maddpg_bw_mode': {self.maddpg_bw_mode}")
-        if self.frames < 1:
-            raise ConfigError(f"invalid value for key 'frames': {self.frames} (at least 1)")
-        if self.eval_steps < 0:
-            raise ConfigError(f"invalid value for key 'eval_steps': {self.eval_steps} (0 or more)")
+        for key, valid, rule in (
+            ("method", self.method in METHODS, ""),
+            ("profile", self.profile in PROFILES, ""),
+            ("maddpg_bw_mode", self.maddpg_bw_mode in ("equal", "learned"), ""),
+            ("frames", self.frames >= 1, " (at least 1)"),
+            ("eval_steps", self.eval_steps >= 0, " (0 or more)"),
+            ("metrics_interval", self.metrics_interval >= 0, " (0 or more)"),
+            ("grid_width", self.grid_width >= 1, " (at least 1)"),
+            ("grid_height", self.grid_height >= 1, " (at least 1)"),
+            ("cell_size_m", self.cell_size_m > 0, " (positive)"),
+            ("attraction_prob", 0.0 <= self.attraction_prob <= 1.0, " (in [0, 1])"),
+        ):
+            if not valid:
+                raise ConfigError(f"invalid value for key '{key}': {getattr(self, key)}{rule}")
 
 
 # Desk-scale profile: the same physics at a laptop-sized training budget.
@@ -124,10 +128,18 @@ _KEYS: dict[str, _Key] = {
 }
 
 
+def _lookup(name: str) -> _Key:
+    try:
+        return _KEYS[name]
+    except KeyError:
+        raise ConfigError(f"unknown config key '{name}'") from None
+
+
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
+    parse = _lookup(key).parse
     try:
-        return _KEYS[key].parse(raw)
+        return parse(raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value for key '{key}': {raw}") from exc
 
@@ -143,8 +155,6 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"line {lineno}: expected 'key = value', got: {stripped}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _KEYS:
-            raise ConfigError(f"unknown config key '{key}'")
         values[key] = _parse_value(key, raw)
     return values
 
@@ -163,7 +173,7 @@ def build_config(overrides: dict[str, object]) -> ExperimentConfig:
     parts: dict[str, dict[str, object]] = {section: {} for section in _SECTIONS}
     top: dict[str, object] = {}
     for key, value in merged.items():
-        section = _KEYS[key].section
+        section = _lookup(key).section
         (top if section is None else parts[section])[key] = value
     try:
         cfg = ExperimentConfig(**{name: _SECTIONS[name](**kw) for name, kw in parts.items()}, **top)

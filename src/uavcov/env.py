@@ -39,6 +39,8 @@ class EnvConfig:
     p_avg_mode: str = "budget"    # interference power: "budget" or "allocated"
 
     def __post_init__(self):
+        if self.n_ues < 1:
+            raise ValueError(f"n_ues must be at least 1, got {self.n_ues}")
         if self.max_cluster_size <= 0:
             self.max_cluster_size = self.n_ues
         if abs(self.block_limit * self.block_size - self.b_max) > 1e-6:

@@ -6,9 +6,10 @@ identical worlds and differ only in their decisions; paired comparisons are
 therefore meaningful seed by seed.
 
 Outputs per run directory: trajectories.csv, clusters.csv, metrics.csv,
-rewards.csv, search_steps.csv (flare), summary.json, config.txt. All files
-are deterministic functions of (config, seed); wall-clock timing is reported
-on stdout only, never written into result files.
+rewards.csv, search_steps.csv (flare), summary.json, config.txt, and
+checkpoint.bin when asked for (learned methods). All files are deterministic
+functions of (config, seed); wall-clock timing is reported on stdout only,
+never written into result files.
 """
 
 import json
@@ -16,7 +17,7 @@ import math
 import os
 import shutil
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
 from .learn import (DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
                     dqn_select_action, dqn_update, evaluate_frame_static,
-                    frame_snapshot, save_checkpoint, train_frame, zero_head_mlp)
+                    save_checkpoint, train_frame, zero_head_mlp)
 from .mobility import GridWorld
 from .nn import Adam
 
@@ -64,9 +65,7 @@ def oracle_min_blocks(power_eff: float, interference: float, noise: float,
 # ----- deterministic file writers -----
 
 def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):   # bool is an int
         return str(int(value))
     return str(float(value))
 
@@ -87,7 +86,35 @@ class CsvWriter:
         self._fh.close()
 
 
-# ----- single run -----
+def _write_json(path: str, doc: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# ----- run directories -----
+
+# file stem -> columns of every CSV a run directory can hold
+CSV_COLUMNS = {
+    "trajectories": ["frame", "ue_id", "grid_x", "grid_y", "x_m", "y_m"],
+    "clusters": ["frame", "ue_id", "cluster", "centroid_x", "centroid_y",
+                 "k_star", "mean_silhouette"],
+    "metrics": ["frame", "episode", "timestep", "uav_id",
+                "served_count", "reward", "sum_power_w", "sum_blocks"],
+    "rewards": ["frame", "episode", "mean_reward"],
+    "search_steps": ["frame", "episode", "mean_search_steps"],
+}
+
+
+def _open_run_dir(out_dir: str, cfg: ExperimentConfig, seed: int, method: str,
+                  stems: list[str]) -> dict[str, CsvWriter]:
+    """Create the run directory, write its config.txt, open the named CSVs."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
+        fh.write(dump_config(cfg, {"seed": seed, "method": method}))
+    return {stem: CsvWriter(os.path.join(out_dir, f"{stem}.csv"), CSV_COLUMNS[stem])
+            for stem in stems}
+
 
 @dataclass
 class RunSummary:
@@ -95,11 +122,11 @@ class RunSummary:
     seed: int
     r_th: float
     config_hash: str
-    frames: list[dict]
-    audit: dict[str, int]
-    episode_rewards: list[float]       # flattened over frames, episode order
-    episode_search_steps: list[float]  # flare only, else empty
-    wall_seconds: float                # reported, never written to files
+    frames: list[dict] = field(default_factory=list)
+    audit: dict[str, int] = field(
+        default_factory=lambda: {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")})
+    episode_rewards: list[float] = field(default_factory=list)       # flattened over frames
+    episode_search_steps: list[float] = field(default_factory=list)  # flare only, else empty
 
     @property
     def served_by_frame(self) -> list[int]:
@@ -109,6 +136,15 @@ class RunSummary:
     def mean_served(self) -> float:
         return float(np.mean(self.served_by_frame))
 
+    def write(self, path: str):
+        """summary.json: every field but the episode series, plus the served counts."""
+        doc = asdict(self)
+        del doc["episode_rewards"], doc["episode_search_steps"]
+        _write_json(path, {**doc, "served_by_frame": self.served_by_frame,
+                           "mean_served": self.mean_served})
+
+
+# ----- single run -----
 
 def _grid_for(cfg: ExperimentConfig, seed: int) -> GridWorld:
     grid = GridWorld(width=cfg.grid_width, height=cfg.grid_height,
@@ -118,11 +154,6 @@ def _grid_for(cfg: ExperimentConfig, seed: int) -> GridWorld:
     if points is None:
         points = mobility.draw_attraction_points(seed, grid, cfg.n_attraction_points)
     return replace(grid, attraction_points=[tuple(p) for p in points])
-
-
-TRAJECTORY_COLUMNS = ["frame", "ue_id", "grid_x", "grid_y", "x_m", "y_m"]
-CLUSTER_COLUMNS = ["frame", "ue_id", "cluster", "centroid_x", "centroid_y",
-                   "k_star", "mean_silhouette"]
 
 
 def _frames(cfg: ExperimentConfig, seed: int, grid: GridWorld):
@@ -141,30 +172,17 @@ def _frames(cfg: ExperimentConfig, seed: int, grid: GridWorld):
         yield state, pts, plan
 
 
-def _write_frame(traj: CsvWriter, clusters: CsvWriter, frame: int, state, pts, plan):
+def _write_frame(out: dict[str, CsvWriter], frame: int, state, pts, plan):
     """One frame's trajectories.csv and clusters.csv rows."""
     for i, (gx, gy) in enumerate(state.positions.tolist()):
-        traj.row(frame, i, gx, gy, pts[i, 0], pts[i, 1])
+        out["trajectories"].row(frame, i, gx, gy, pts[i, 0], pts[i, 1])
     for i, c in enumerate(plan.assignment.tolist()):
-        clusters.row(frame, i, c, plan.centroids[c, 0], plan.centroids[c, 1],
-                     plan.k_star, plan.silhouette_mean)
+        out["clusters"].row(frame, i, c, plan.centroids[c, 0], plan.centroids[c, 1],
+                            plan.k_star, plan.silhouette_mean)
 
 
-def _write_metrics(writer: CsvWriter, world: FrameWorld, episode: int, timestep: int):
-    """One metrics.csv row per active UAV.
-
-    served_count is the episode's committed coverage; reward is the
-    instantaneous served count at the logged step.
-    """
-    act = world.active_idx
-    for row in zip(act, world.frozen[act].sum(axis=1), world.served[act].sum(axis=1),
-                   world.power[act].sum(axis=1), world.blocks[act].sum(axis=1)):
-        writer.row(world.frame, episode, timestep, *row)
-
-
-def run_single(cfg: ExperimentConfig, method: str, seed: int,
-               out_dir: str | None = None, quiet: bool = False,
-               checkpoint: bool = False) -> RunSummary:
+def run_single(cfg: ExperimentConfig, method: str, seed: int, out_dir: str,
+               quiet: bool = False, checkpoint: bool = False) -> RunSummary:
     """Run one method on one seed over all frames; write the run directory.
 
     A failure while writing removes the partially written run directory
@@ -173,13 +191,12 @@ def run_single(cfg: ExperimentConfig, method: str, seed: int,
     try:
         return _run_single(cfg, method, seed, out_dir, quiet, checkpoint)
     except Exception:
-        if out_dir is not None and os.path.isdir(out_dir):
-            shutil.rmtree(out_dir, ignore_errors=True)
+        shutil.rmtree(out_dir, ignore_errors=True)
         raise
 
 
 def _run_single(cfg: ExperimentConfig, method: str, seed: int,
-                out_dir: str | None, quiet: bool, checkpoint: bool) -> RunSummary:
+                out_dir: str, quiet: bool, checkpoint: bool) -> RunSummary:
     t0 = time.perf_counter()
     env_cfg = cfg.env
     schedule = cfg.schedule
@@ -189,119 +206,79 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
     init_rng = seeding.sequential_stream(seed, seeding.INIT)
     expl_rng = seeding.sequential_stream(seed, seeding.EXPLORATION)
 
-    use_dqn = method == "flare"
-    maddpg = None
-    dqns = None
+    maddpg = dqns = None
     if method != "static":
         bw_head = method == "maddpg_only" and cfg.maddpg_bw_mode == "learned"
         maddpg = MaddpgLearner(env_cfg, schedule, init_rng, bw_head=bw_head)
-    if use_dqn:
+    if method == "flare":
         dqns = DqnPool(env_cfg, schedule, init_rng)
 
-    writers = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        writers = {
-            "traj": CsvWriter(os.path.join(out_dir, "trajectories.csv"), TRAJECTORY_COLUMNS),
-            "clusters": CsvWriter(os.path.join(out_dir, "clusters.csv"), CLUSTER_COLUMNS),
-            "metrics": CsvWriter(os.path.join(out_dir, "metrics.csv"),
-                                 ["frame", "episode", "timestep", "uav_id",
-                                  "served_count", "reward", "sum_power_w", "sum_blocks"]),
-            "rewards": CsvWriter(os.path.join(out_dir, "rewards.csv"),
-                                 ["frame", "episode", "mean_reward"]),
-        }
-        if use_dqn:
-            writers["search"] = CsvWriter(os.path.join(out_dir, "search_steps.csv"),
-                                          ["frame", "episode", "mean_search_steps"])
-        extra = {"seed": seed, "method": method}
-        with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-            fh.write(dump_config(cfg, extra))
-    run_hash = config_hash(cfg, {"seed": seed, "method": method})
-
-    frames_out = []
-    audit_total = {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")}
-    episode_rewards: list[float] = []
-    episode_search: list[float] = []
+    stems = ["trajectories", "clusters", "metrics", "rewards"]
+    out = _open_run_dir(out_dir, cfg, seed, method,
+                        stems if dqns is None else stems + ["search_steps"])
+    summary = RunSummary(method=method, seed=seed, r_th=float(env_cfg.r_th),
+                         config_hash=config_hash(cfg, {"seed": seed, "method": method}))
     total_steps = cfg.frames * schedule.episodes * schedule.steps_per_episode
     altitude_init = (env_cfg.h_min + env_cfg.h_max) / 2.0
 
     def sink(world, episode, timestep):
+        """metrics.csv rows, one per active UAV: served_count is the episode's
+        committed coverage, reward the served count at the logged step."""
         if cfg.metrics_interval > 0 and episode % cfg.metrics_interval != 0:
             return
-        _write_metrics(writers["metrics"], world, episode, timestep)
+        act = world.active_idx
+        for row in zip(act, world.frozen[act].sum(axis=1), world.served[act].sum(axis=1),
+                       world.power[act].sum(axis=1), world.blocks[act].sum(axis=1)):
+            out["metrics"].row(world.frame, episode, timestep, *row)
 
     for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
         uav_xyz, active = clustering.place_uavs(plan, altitude_init, env_cfg.k_max)
         world = FrameWorld(env_cfg, cfg.constants, pts, plan, uav_xyz, active,
                            fading, frame, field_size)
-        if writers is not None:
-            _write_frame(writers["traj"], writers["clusters"], frame, state, pts, plan)
+        _write_frame(out, frame, state, pts, plan)
 
-        if method != "static":
+        if maddpg is None:
+            eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
+            served = evaluate_frame_static(world, schedule, eval_steps)
+            sink(world, 0, eval_steps - 1)
+        else:
             maddpg.buffer.clear()
             if dqns is not None:
                 dqns.buffer.clear()
             records = train_frame(world, maddpg, dqns, schedule, expl_rng,
                                   step_offset=frame * schedule.episodes * schedule.steps_per_episode,
-                                  total_steps=total_steps,
-                                  metrics_sink=sink if writers else None)
+                                  total_steps=total_steps, metrics_sink=sink)
             for rec in records:
-                episode_rewards.append(rec.mean_reward)
-                if writers is not None:
-                    writers["rewards"].row(frame, rec.episode, rec.mean_reward)
-                if use_dqn:
-                    episode_search.append(rec.mean_search_steps)
-                    if writers is not None:
-                        writers["search"].row(frame, rec.episode, rec.mean_search_steps)
+                summary.episode_rewards.append(rec.mean_reward)
+                out["rewards"].row(frame, rec.episode, rec.mean_reward)
+                if dqns is not None:
+                    summary.episode_search_steps.append(rec.mean_search_steps)
+                    out["search_steps"].row(frame, rec.episode, rec.mean_search_steps)
             # the frame's coverage: committed count averaged over the closing
             # episodes of the search (one episode is a noisy sample of it)
-            result = frame_snapshot(world)
-            tail = records[-min(5, len(records)):]
-            result.served_total = float(np.mean([r.committed for r in tail]))
-        else:
-            eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
-            result = evaluate_frame_static(world, schedule, eval_steps)
-            if writers is not None:
-                sink(world, 0, eval_steps - 1)
+            served = np.mean([r.committed for r in records[-5:]])
 
-        for c in audit_total:
-            audit_total[c] += world.audit[c]
-        frames_out.append({
+        for c in summary.audit:
+            summary.audit[c] += world.audit[c]
+        act = world.active_idx
+        summary.frames.append({
             "frame": frame,
             "k_star": int(plan.k_star),
             "mean_silhouette": float(plan.silhouette_mean),
-            "served_total": float(result.served_total),
-            "served_per_uav": [int(v) for v in result.served_per_agent],
-            "sum_power_w": float(result.sum_power),
-            "sum_blocks": int(result.sum_blocks),
+            "served_total": float(served),
+            "served_per_uav": world.committed_per_agent(),
+            "sum_power_w": sum(float(p) for p in world.power[act].sum(axis=1)),
+            "sum_blocks": int(world.blocks.sum()),
             "method": method,
         })
 
     wall = time.perf_counter() - t0
-    summary = RunSummary(
-        method=method, seed=seed, r_th=float(env_cfg.r_th), config_hash=run_hash,
-        frames=frames_out, audit=audit_total, episode_rewards=episode_rewards,
-        episode_search_steps=episode_search, wall_seconds=wall,
-    )
-    if writers is not None and checkpoint and maddpg is not None:
+    if checkpoint and maddpg is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), maddpg, dqns,
                         {"frames_completed": cfg.frames})
-    if writers is not None:
-        for w in writers.values():
-            w.close()
-        doc = {
-            "method": method,
-            "seed": seed,
-            "r_th": float(env_cfg.r_th),
-            "config_hash": run_hash,
-            "frames": frames_out,
-            "served_by_frame": summary.served_by_frame,
-            "mean_served": summary.mean_served,
-            "audit": audit_total,
-        }
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    for w in out.values():
+        w.close()
+    summary.write(os.path.join(out_dir, "summary.json"))
     if not quiet:
         print(f"[{method} seed={seed}] mean served {summary.mean_served:.2f} "
               f"over {cfg.frames} frames ({wall:.1f}s)")
@@ -335,9 +312,7 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
         ours = comparison["methods"]["flare"]["mean_served"]
         comparison["flare_over_maddpg_ratio"] = float(ours / base) if base > 0 else math.inf
     os.makedirs(cfg.out_dir, exist_ok=True)
-    with open(os.path.join(cfg.out_dir, "comparison.json"), "w", encoding="utf-8") as fh:
-        json.dump(comparison, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(cfg.out_dir, "comparison.json"), comparison)
     return comparison
 
 
@@ -346,15 +321,11 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
 def run_simulation(cfg: ExperimentConfig, seed: int, out_dir: str):
     """Mobility and clustering streams only (no radio, no learning)."""
     grid = _grid_for(cfg, seed)
-    os.makedirs(out_dir, exist_ok=True)
-    traj = CsvWriter(os.path.join(out_dir, "trajectories.csv"), TRAJECTORY_COLUMNS)
-    clus = CsvWriter(os.path.join(out_dir, "clusters.csv"), CLUSTER_COLUMNS)
+    out = _open_run_dir(out_dir, cfg, seed, "simulate", ["trajectories", "clusters"])
     for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
-        _write_frame(traj, clus, frame, state, pts, plan)
-    traj.close()
-    clus.close()
-    with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(dump_config(cfg, {"seed": seed, "method": "simulate"}))
+        _write_frame(out, frame, state, pts, plan)
+    for w in out.values():
+        w.close()
 
 
 # ----- oracle table -----

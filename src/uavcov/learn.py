@@ -13,7 +13,7 @@ transitions, while network weights persist across frames (warm start).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -458,19 +458,10 @@ def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
 
 @dataclass
 class EpisodeRecord:
-    frame: int
     episode: int
     mean_reward: float          # served UEs per step, summed over agents
     mean_search_steps: float    # steps until served, averaged over users (flare)
     committed: int              # users served and locked by episode end
-
-
-@dataclass
-class FrameResult:
-    served_total: float = 0.0
-    served_per_agent: list[int] = field(default_factory=list)
-    sum_power: float = 0.0
-    sum_blocks: int = 0
 
 
 def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
@@ -531,31 +522,19 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
             reward_sum += float(rewards.sum())
 
         steps = np.where(search_steps > 0, search_steps, schedule.steps_per_episode)[world.mask]
-        rec = EpisodeRecord(
-            frame=world.frame, episode=e,
+        records.append(EpisodeRecord(
+            episode=e,
             mean_reward=reward_sum / schedule.steps_per_episode,
             mean_search_steps=float(np.mean(steps)) if steps.size else 0.0,
             committed=world.committed_total(),
-        )
-        records.append(rec)
+        ))
         if metrics_sink is not None:
             metrics_sink(world, e, schedule.steps_per_episode - 1)
     return records
 
 
-def frame_snapshot(world: FrameWorld) -> FrameResult:
-    """Committed coverage and allocation totals of the world's current state."""
-    act = world.active_idx
-    return FrameResult(
-        served_total=world.committed_total(),
-        served_per_agent=world.committed_per_agent(),
-        sum_power=sum(float(p) for p in world.power[act].sum(axis=1)),
-        sum_blocks=int(world.blocks.sum()),
-    )
-
-
 def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,
-                          eval_steps: int | None = None) -> FrameResult:
+                          eval_steps: int | None = None) -> int:
     """Committed coverage of the fixed equal allocation at mid altitude.
 
     The allocation never changes, so one held evaluation scores every step
@@ -567,7 +546,7 @@ def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,
     T = eval_steps if eval_steps is not None else schedule.steps_per_episode
     world.reset_episode(equal_blocks=True)
     world.evaluate(schedule.episodes - 1, np.arange(T))
-    return frame_snapshot(world)
+    return world.committed_total()
 
 
 # ----- checkpointing -----

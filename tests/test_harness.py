@@ -128,26 +128,33 @@ def test_config_unknown_key_named():
         parse_config_text("bogus_key = 3\n")
     with pytest.raises(ConfigError, match="block_limit"):
         parse_config_text("block_limit = many\n")
+    with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+        build_config({"bogus": 1})
 
 
 @pytest.mark.parametrize("key,value", [("episodes", 0), ("steps_per_episode", 0),
                                        ("frames", 0), ("eval_steps", -1),
                                        ("batch_size", 0), ("buffer_capacity", 0),
                                        ("update_interval", 0), ("update_interval", -2),
-                                       ("k_max", 0), ("h_min", 0.0), ("h_min", -100.0)])
+                                       ("k_max", 0), ("h_min", 0.0), ("h_min", -100.0),
+                                       ("n_ues", 0), ("n_ues", -2), ("cell_size_m", 0.0),
+                                       ("cell_size_m", -1.0), ("grid_width", 0),
+                                       ("grid_height", 0), ("metrics_interval", -3),
+                                       ("attraction_prob", -0.1), ("attraction_prob", 1.5)])
 def test_degenerate_schedule_rejected(key, value):
     # each would divide by zero, average nothing, silently fall back, leave no
-    # UAV to fly or fly one at or below the ground
+    # UAV to fly or fly one at or below the ground, serve nobody, mirror or
+    # empty the field, or fail later inside numpy or GridWorld
     with pytest.raises(ConfigError, match=key):
         tiny_config(**{key: value})
     with pytest.raises(ConfigError, match=key):
         build_config(parse_config_text(f"{key} = {value}\n"))
 
 
-def test_k_max_one_runs_every_method():
+def test_k_max_one_runs_every_method(tmp_path):
     cfg = tiny_config(k_max=1)
     for method in ("static", "maddpg_only", "flare"):
-        summary = run_single(cfg, method, 1, quiet=True)
+        summary = run_single(cfg, method, 1, str(tmp_path / method), quiet=True)
         assert [f["k_star"] for f in summary.frames] == [1] * cfg.frames
         assert all(v == 0 for v in summary.audit.values())
 
@@ -182,7 +189,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_static_single_ue_clusters_get_everything(tmp_path):
     cfg = tiny_config(n_ues=2, k_max=2, frames=1)
-    summary = run_single(cfg, "static", 4, quiet=True)
+    summary = run_single(cfg, "static", 4, str(tmp_path / "run"), quiet=True)
     assert summary.frames[0]["k_star"] in (1, 2)
     # rebuild the final world state through the API for the structural claim
     from conftest import build_world
@@ -193,9 +200,11 @@ def test_static_single_ue_clusters_get_everything(tmp_path):
         assert world.blocks[j, 0] == 200
 
 
-def test_static_threshold_monotonicity():
-    low = run_single(tiny_config(method="static", r_th=5e6), "static", 7, quiet=True)
-    high = run_single(tiny_config(method="static", r_th=1e7), "static", 7, quiet=True)
+def test_static_threshold_monotonicity(tmp_path):
+    low = run_single(tiny_config(method="static", r_th=5e6), "static", 7,
+                     str(tmp_path / "low"), quiet=True)
+    high = run_single(tiny_config(method="static", r_th=1e7), "static", 7,
+                      str(tmp_path / "high"), quiet=True)
     for a, b in zip(high.served_by_frame, low.served_by_frame):
         assert a <= b
 
@@ -245,7 +254,7 @@ def test_maddpg_only_allocates_no_dqn(monkeypatch, tmp_path):
 
 def test_maddpg_only_learned_bw_head(tmp_path):
     cfg = tiny_config(maddpg_bw_mode="learned")
-    summary = run_single(cfg, "maddpg_only", 3, quiet=True)
+    summary = run_single(cfg, "maddpg_only", 3, str(tmp_path / "run"), quiet=True)
     assert all(0 <= f["served_total"] <= cfg.env.n_ues for f in summary.frames)
     assert all(v == 0 for v in summary.audit.values())
 
@@ -261,6 +270,50 @@ def test_run_determinism_api(tmp_path):
         assert open(tmp_path / "a" / name, "rb").read() == open(tmp_path / "b" / name, "rb").read()
 
 
+def test_run_directory_bytes_pinned(tmp_path):
+    """Every file of the tiny_config run directories of seed 1, byte for byte.
+
+    The simulate, static and flare (with checkpoint) directories are hashed
+    file by file. The flare digests pass through the learners' many small
+    matmuls, so a numpy or BLAS upgrade may move them with no change to this
+    code; re-take them then, after checking that the static digests held.
+    """
+    cfg = tiny_config()
+    experiment.run_simulation(cfg, 1, str(tmp_path / "simulate"))
+    run_single(cfg, "static", 1, str(tmp_path / "static"), quiet=True)
+    run_single(cfg, "flare", 1, str(tmp_path / "flare"), quiet=True, checkpoint=True)
+    world = {
+        "clusters.csv": "06b80b9df77f49f54f7d401b237e21b9cc7c32c557b566adc0862ff7d7c47aa4",
+        "trajectories.csv": "96f6c1cb92f25d253b10b2b3ca74791c89b1b29ca27105d74f0e625fff102151",
+    }
+    expected = {
+        "simulate": {
+            **world,
+            "config.txt": "29a18955ad7e53e9552b61d0417a5d140d4a2f962de30492ee504b165cad098f",
+        },
+        "static": {
+            **world,
+            "config.txt": "d6d5057d624bb1685e2f9293f6791ee00bdb3cc34443103620f84658121d0241",
+            "metrics.csv": "385c03626b7dea733bf2855cb79328cb4a3b686efbb4102c3dbae63c24507314",
+            "rewards.csv": "67ef8135d3c28fb9b086b1740c17301ab07942cab650ced1f5f073ed793a8377",
+            "summary.json": "98cb7a8a028b8beb3feb4563ece022871fcad629ceda1739065a3459ba707356",
+        },
+        "flare": {
+            **world,
+            "checkpoint.bin": "5a48b828c462e23e2b9f5fa88cbd3f926781b881ec97d377842d0c853df1147e",
+            "config.txt": "5f37476f5ff51dc020d789930790f1646c6b98f062f4971c429b9bb367a6fb56",
+            "metrics.csv": "3e0aef6ccd297faacc0eb55ec0f614a12d9cf06ca93f97e770b35c60761b8362",
+            "rewards.csv": "012e782188ee7ff8e3aae14e59c6c82e7fb9d042faffd1e28f63a39edf1ed25a",
+            "search_steps.csv": "c9f0778357e620f371333478927facaf030955058c269b0b4b4cd26d88b97c05",
+            "summary.json": "ca363c5bfefba2c019acb89e2ea6ef06308037f21503378bc7baffae44c05c7a",
+        },
+    }
+    got = {kind: {name: hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
+                  for name in os.listdir(tmp_path / kind)}
+           for kind in expected}
+    assert got == expected
+
+
 def test_static_metrics_rows_log_the_last_evaluated_step(tmp_path):
     # tiny_config evaluates 10 of its 15 steps per episode; the rows stay at episode 0
     cfg = tiny_config()
@@ -271,9 +324,9 @@ def test_static_metrics_rows_log_the_last_evaluated_step(tmp_path):
     assert {(r[ep], r[ts]) for r in rows} == {(0.0, cfg.eval_steps - 1)}
 
 
-def test_local_critic_mode_runs():
+def test_local_critic_mode_runs(tmp_path):
     cfg = tiny_config(critic_mode="local")
-    summary = run_single(cfg, "flare", 1, quiet=True)
+    summary = run_single(cfg, "flare", 1, str(tmp_path / "run"), quiet=True)
     assert len(summary.episode_rewards) == cfg.frames * cfg.schedule.episodes
 
 

@@ -6,7 +6,7 @@ import pytest
 from uavcov.env import EnvConfig, masked_softmax
 from uavcov.learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer,
                           TrainSchedule, dqn_select_action,
-                          dqn_update, evaluate_frame_static, frame_snapshot,
+                          dqn_update, evaluate_frame_static,
                           maddpg_select_action, squash_gradient,
                           squash_raw_actions, td_error, train_frame)
 from uavcov import nn
@@ -234,13 +234,13 @@ def test_train_frame_smoke_and_determinism():
         dqns = DqnPool(world.cfg, sch, np.random.default_rng(8))
         recs = train_frame(world, maddpg, dqns, sch, np.random.default_rng(9), 0,
                            sch.episodes * sch.steps_per_episode)
-        result = frame_snapshot(world)
-        records.append((recs, result.served_total, result.sum_blocks))
+        committed = world.committed_total()
+        records.append((recs, committed, int(world.blocks.sum())))
         assert len(recs) == 3
         assert all(0.0 <= r.mean_reward <= world.cfg.n_ues for r in recs)
         assert all(0.0 <= r.mean_search_steps <= sch.steps_per_episode for r in recs)
         assert all(0 <= r.committed <= world.cfg.n_ues for r in recs)
-        assert result.served_total == recs[-1].committed
+        assert committed == recs[-1].committed
     assert records[0][0] == records[1][0]
     assert records[0][1:] == records[1][1:]
 
@@ -248,11 +248,12 @@ def test_train_frame_smoke_and_determinism():
 def test_evaluate_frame_static_keeps_reset_allocation():
     world = two_ue_world(seed=11)
     sch = small_schedule(episodes=2, steps_per_episode=5)
-    result = evaluate_frame_static(world, sch)
+    served = evaluate_frame_static(world, sch)
     assert world.h[0] == pytest.approx(650.0)
     assert np.allclose(world.power[0, :2], 0.5)
     assert world.blocks[0, :2].tolist() == [100, 100]
-    assert 0 <= result.served_total <= 2
+    assert served == world.committed_total()
+    assert 0 <= served <= 2
 
 
 def test_dqn_pool_lazy_and_persistent():
