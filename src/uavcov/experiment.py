@@ -27,11 +27,10 @@ from .channel import (EnvConstants, FadingField, effective_power, los_probabilit
                       slant_geometry)
 from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
-from .learn import (DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
+from .learn import (Dqn, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
                     dqn_select_action, dqn_update, evaluate_frame_static,
                     save_checkpoint, train_frame, zero_head_mlp)
 from .mobility import GridWorld
-from .nn import Adam
 
 
 # ----- bandwidth oracle -----
@@ -423,9 +422,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
     for li in range(n_links):
         per_block = sample_static_link(link_rng, env_cfg, consts)
         oracle_n = math.ceil(env_cfg.r_th / per_block)
-        net = zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng)
-        target = net.clone()
-        opt = Adam(net.params, schedule.dqn_lr)
+        dqn = Dqn(zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng), schedule.dqn_lr)
         buf_cap = min(schedule.buffer_capacity, total)
         buffer = ReplayBuffer(buf_cap, {"state": 2, "action": 1, "reward": 1,
                                         "next_state": 2, "done": 1})
@@ -438,7 +435,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
             for t in range(schedule.steps_per_episode):
                 eps = schedule.eps_at(gstep, total)
                 state = np.array([blocks / env_cfg.block_limit, 0.0])
-                a_idx = dqn_select_action(net, state, eps, expl_rng)
+                a_idx = dqn_select_action(dqn.net, state, eps, expl_rng)
                 blocks = min(max(blocks + (1 if a_idx == 0 else -1), 0), env_cfg.block_limit)
                 rate = blocks * per_block
                 served = rate >= env_cfg.r_th
@@ -449,8 +446,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
                 gstep += 1
                 if (t + 1) % schedule.update_interval == 0 and \
                         len(buffer) >= max(schedule.batch_size, schedule.warmup_transitions):
-                    dqn_update(net, target, opt, buffer.sample(schedule.batch_size, expl_rng),
-                               schedule)
+                    dqn_update(dqn, buffer.sample(schedule.batch_size, expl_rng), schedule)
                 if served:
                     steps_used = t + 1
                     break
@@ -460,7 +456,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
         frozen = None
         for _ in range(schedule.steps_per_episode):
             state = np.array([blocks / env_cfg.block_limit, 0.0])
-            a_idx = int(np.argmax(net.forward(state)))
+            a_idx = int(np.argmax(dqn.net.forward(state)))
             blocks = min(max(blocks + (1 if a_idx == 0 else -1), 0), env_cfg.block_limit)
             if blocks * per_block >= env_cfg.r_th:
                 frozen = blocks

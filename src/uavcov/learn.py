@@ -6,7 +6,10 @@ blocks up or down. Critics are centralized by default: they see the
 concatenated observations and normalized actions of every UAV slot, inactive
 slots zero-masked. All gradients are computed manually through the nn core,
 including the tanh/softmax squashing between actor outputs and the actions
-the critics see.
+the critics see. Parameters, targets and Adam moments are flat vectors (one
+(rows, P) matrix for a stack of Q-nets) in the nn layout, so each optimizer
+step and soft update is one call per net, and checkpoints name per-layer
+views of them.
 
 Within one frame the world is quasi-static: buffers hold only current-frame
 transitions, while network weights persist across frames (warm start).
@@ -18,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, FrameWorld, masked_softmax
-from .nn import BETA1, BETA2, Adam, Mlp, adam_update, backward, blend, forward, soft_update
+from .nn import (BETA1, BETA2, Adam, Mlp, adam_update, backward, blend, forward, layer_views,
+                 param_count, param_views, soft_update)
 
 CHECKPOINT_MAGIC = b"UAVCOV-CKPT-1\n"
 
@@ -84,8 +88,11 @@ def _anneal(step: int, total: int, start: float, end: float, frac: float) -> flo
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform no-replacement sampling.
 
-    With rows=n it is n independent rings in (n, capacity, dim) arrays, each
-    with its own head and size, fed by add_rows and read by sample_rows.
+    Transitions are float32 records, the fields side by side in one
+    (capacity, sum of dims) array; _data maps each field to its columns, as
+    views. With rows=n it is n independent rings in one (n, capacity, ...)
+    array, each with its own head and size, fed by add_rows and read by
+    sample_rows.
     """
 
     def __init__(self, capacity: int, fields: dict[str, int], rows: int | None = None):
@@ -93,9 +100,17 @@ class ReplayBuffer:
         self.fields = dict(fields)
         self.rows = rows
         lead = (self.capacity,) if rows is None else (rows, self.capacity)
-        self._data = {name: np.zeros(lead + (dim,), dtype=np.float32)
-                      for name, dim in self.fields.items()}
+        self._records = np.zeros(lead + (sum(self.fields.values()),), dtype=np.float32)
+        self._data = self._columns(self._records)
         self.clear()
+
+    def _columns(self, records: np.ndarray) -> dict[str, np.ndarray]:
+        """Each field's columns of records, as views."""
+        columns, start = {}, 0
+        for name, dim in self.fields.items():
+            columns[name] = records[..., start:start + dim]
+            start += dim
+        return columns
 
     def __len__(self) -> int:
         return self._size
@@ -110,7 +125,7 @@ class ReplayBuffer:
         if self._size < batch:
             raise ValueError("not enough transitions to sample")
         idx = rng.choice(self._size, size=batch, replace=False)
-        return {name: arr[idx].astype(float) for name, arr in self._data.items()}
+        return self._columns(self._records.take(idx, axis=0).astype(float))
 
     def add_rows(self, rows: np.ndarray, **values):
         """One transition into each of the distinct rows, values (len(rows), ...)."""
@@ -125,7 +140,7 @@ class ReplayBuffer:
         """(len(rows), batch, dim) minibatches, each row drawn as sample draws, in order."""
         idx = np.array([rng.choice(n, size=batch, replace=False)
                         for n in self._size[rows].tolist()])
-        return {name: arr[rows[:, None], idx] for name, arr in self._data.items()}
+        return self._columns(self._records[rows[:, None], idx])
 
     def clear(self):
         if self.rows is None:
@@ -206,8 +221,8 @@ class MaddpgLearner:
             self.actor_targets.append(actor.clone())
             self.critics.append(critic)
             self.critic_targets.append(critic.clone())
-            self.actor_opts.append(Adam(actor.params, schedule.lr))
-            self.critic_opts.append(Adam(critic.params, schedule.lr))
+            self.actor_opts.append(Adam(actor.flat, schedule.lr))
+            self.critic_opts.append(Adam(critic.flat, schedule.lr))
         # Buffers are cleared at frame boundaries, so one frame bounds the size.
         cap = min(schedule.buffer_capacity, schedule.episodes * schedule.steps_per_episode)
         self.buffer = ReplayBuffer(cap, {
@@ -268,8 +283,8 @@ class MaddpgLearner:
             y = r_j + sch.gamma * (1.0 - done) * q_next
             q, cache = self.critics[j].forward_cached(self._critic_input(obs, acts, j))
             td = q[:, 0] - y
-            grads, _ = self.critics[j].backward(cache, (2.0 * td / B)[:, None])
-            self.critic_opts[j].step(self.critics[j].params, grads)
+            grad, _ = self.critics[j].backward(cache, (2.0 * td / B)[:, None], input_grad=False)
+            self.critic_opts[j].step(grad)
             critic_loss = float(np.mean(td ** 2))
 
             # Actor: ascend the critic with own action replaced, others sampled.
@@ -281,15 +296,16 @@ class MaddpgLearner:
             acts_new[:, j * self.act_dim:(j + 1) * self.act_dim] = squashed
             q_in = self._critic_input(obs, acts_new, j)
             q2, critic_cache = self.critics[j].forward_cached(q_in)
-            _, grad_in = self.critics[j].backward(critic_cache, np.full((B, 1), -1.0 / B))
+            _, grad_in = self.critics[j].backward(critic_cache, np.full((B, 1), -1.0 / B),
+                                                  param_grads=False)
             if sch.critic_mode == "central":
                 lo = cfg.k_max * cfg.obs_dim + j * self.act_dim
             else:
                 lo = cfg.obs_dim
             grad_sq = grad_in[:, lo:lo + self.act_dim]
             grad_raw = squash_gradient(raw, squashed, grad_sq, mask, cfg.slots, self.bw_head)
-            a_grads, _ = self.actors[j].backward(actor_cache, grad_raw)
-            self.actor_opts[j].step(self.actors[j].params, a_grads)
+            a_grad, _ = self.actors[j].backward(actor_cache, grad_raw, input_grad=False)
+            self.actor_opts[j].step(a_grad)
             actor_loss = float(-np.mean(q2))
 
             soft_update(self.actor_targets[j], self.actors[j], sch.tau)
@@ -331,24 +347,29 @@ def td_error(q: np.ndarray, q_next: np.ndarray, batch: dict[str, np.ndarray],
 
 
 class StackedQnets:
-    """A family of same-architecture Q-nets stored as stacked tensors.
+    """A family of same-architecture Q-nets stored as stacked parameter vectors.
 
-    Row r holds one net's parameters. An update gathers the requested rows,
-    runs the nn kernels over them as one (rows, B, ...) batch and scatters
-    them back, so the math per row is that of an individual Mlp (the tests
-    assert bit equality), just not paid for thirty times per timestep.
+    Row r of flat holds one net's parameters in the nn flat layout; t_flat
+    holds the targets and m_flat, v_flat the Adam moments. weights, biases,
+    their t_ twins, m and v are per-parameter views of these stores. An
+    update gathers the requested rows of each store once, runs the nn kernels
+    over them as one (rows, B, ...) batch and scatters them back, so the math
+    per row is that of an individual Mlp (the tests assert bit equality),
+    just not paid for thirty times per timestep.
     """
 
     def __init__(self, rows: int, dims: list[int], lr: float, dtype=np.float64):
         self.dims = list(dims)
         self.dtype = dtype
         self.lr = float(lr)
-        self.weights = [np.zeros((rows, i, o), dtype) for i, o in zip(dims[:-1], dims[1:])]
-        self.biases = [np.zeros((rows, o), dtype) for o in dims[1:]]
-        self.t_weights = [np.zeros_like(w) for w in self.weights]
-        self.t_biases = [np.zeros_like(b) for b in self.biases]
-        self.m = [np.zeros_like(p) for p in self.weights + self.biases]
-        self.v = [np.zeros_like(p) for p in self.weights + self.biases]
+        shape = (rows, param_count(self.dims))
+        self.flat, self.t_flat, self.m_flat, self.v_flat = (np.zeros(shape, dtype)
+                                                            for _ in range(4))
+        p, t = param_views(self.flat, self.dims), param_views(self.t_flat, self.dims)
+        m, v = param_views(self.m_flat, self.dims), param_views(self.v_flat, self.dims)
+        self.weights, self.biases = p[0::2], p[1::2]
+        self.t_weights, self.t_biases = t[0::2], t[1::2]
+        self.m, self.v = m[0::2] + m[1::2], v[0::2] + v[1::2]
         self.t = np.zeros(rows, dtype=np.int64)
         self.initialized = np.zeros(rows, dtype=bool)
 
@@ -356,46 +377,31 @@ class StackedQnets:
         """Uniform fan-in init with a zeroed output layer (see zero_head_mlp)."""
         if self.initialized[row]:
             return
-        net = zero_head_mlp(self.dims, rng)
-        for p, tp, init in zip(self.weights + self.biases, self.t_weights + self.t_biases,
-                               net.weights + net.biases):
-            p[row] = tp[row] = init
+        self.flat[row] = self.t_flat[row] = zero_head_mlp(self.dims, rng).flat
         self.initialized[row] = True
 
     def q_values(self, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Online Q-values for one state per row: states (m, din) -> (m, 2)."""
         x = states[:, None, :].astype(self.dtype, copy=False)
-        return forward(*_layers([p[idx] for p in self.weights + self.biases]), x)[:, 0, :]
+        return forward(*layer_views(self.flat[idx], self.dims), x)[:, 0, :]
 
     def update(self, idx: np.ndarray, batch: dict[str, np.ndarray],
                gamma: float, tau: float) -> float:
         """One TD step on rows idx from stacked minibatches (m, B, ...)."""
-        params = self.weights + self.biases
-        targets = self.t_weights + self.t_biases
-        p_rows = [p[idx] for p in params]
-        t_rows = [t[idx] for t in targets]
-        q_next = forward(*_layers(t_rows), batch["next_state"])
+        p, tp, m, v = (store[idx] for store in (self.flat, self.t_flat, self.m_flat, self.v_flat))
+        q_next = forward(*layer_views(tp, self.dims), batch["next_state"])
         acts: list[np.ndarray] = []
-        q = forward(*_layers(p_rows), batch["state"], acts)
+        weights, biases = layer_views(p, self.dims)
+        q = forward(weights, biases, batch["state"], acts)
         td, grad_out = td_error(q, q_next, batch, gamma)
-        grads_w, grads_b, _ = backward(p_rows[:len(self.weights)], acts, grad_out)
+        grad, _ = backward(weights, acts, grad_out, input_grad=False)
         self.t[idx] += 1
-        b1t = (1.0 - BETA1 ** self.t[idx]).astype(self.dtype)
-        b2t = (1.0 - BETA2 ** self.t[idx]).astype(self.dtype)
-        # one parameter's moments at a time keeps the gathered copies small
-        for i, g in enumerate(grads_w + grads_b):
-            p, m, v, tp = p_rows[i], self.m[i][idx], self.v[i][idx], t_rows[i]
-            shape = (-1,) + (1,) * (p.ndim - 1)
-            adam_update(p, g, m, v, b1t.reshape(shape), b2t.reshape(shape), self.lr)
-            blend(tp, p, tau)
-            params[i][idx], targets[i][idx], self.m[i][idx], self.v[i][idx] = p, tp, m, v
+        b1t = (1.0 - BETA1 ** self.t[idx]).astype(self.dtype)[:, None]
+        b2t = (1.0 - BETA2 ** self.t[idx]).astype(self.dtype)[:, None]
+        adam_update(p, grad, m, v, b1t, b2t, self.lr)
+        blend(tp, p, tau)
+        self.flat[idx], self.t_flat[idx], self.m_flat[idx], self.v_flat[idx] = p, tp, m, v
         return float(np.mean(td ** 2))
-
-
-def _layers(rows: list[np.ndarray]):
-    """Gathered rows [W0.., b0..] as forward's weights and (m, 1, out) biases."""
-    n = len(rows) // 2
-    return rows[:n], [b[:, None, :] for b in rows[n:]]
 
 
 class DqnPool:
@@ -442,15 +448,28 @@ class DqnPool:
         return self.stack.update(rows[ready], batch, self.schedule.gamma, self.schedule.tau)
 
 
-def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
-               schedule: TrainSchedule) -> float:
+class Dqn:
+    """One Q-net, its target and the net's Adam, the two nets rows of one (2, P) array.
+
+    Row 0 is the target and row 1 the online net, both starting as copies
+    of init; dqn_update runs their two forwards as one stacked pass.
+    """
+
+    def __init__(self, init: Mlp, lr: float):
+        self.pair = np.stack([init.flat, init.flat])
+        self.target, self.net = (Mlp(init.dims, flat=row) for row in self.pair)
+        self.opt = Adam(self.net.flat, lr)
+        self.layers = layer_views(self.pair, init.dims)
+
+
+def dqn_update(dqn: Dqn, batch: dict[str, np.ndarray], schedule: TrainSchedule) -> float:
     """One TD step: y = r + gamma * max_a Q'(s',a), squared error, soft update."""
-    q_next = target.forward(batch["next_state"])
-    q, cache = net.forward_cached(batch["state"])
+    acts: list[np.ndarray] = []
+    q_next, q = forward(*dqn.layers, np.stack([batch["next_state"], batch["state"]]), acts)
     td, grad_out = td_error(q, q_next, batch, schedule.gamma)
-    grads, _ = net.backward(cache, grad_out)
-    opt.step(net.params, grads)
-    soft_update(target, net, schedule.tau)
+    grad, _ = backward(dqn.net.weights, [a[1] for a in acts], grad_out, input_grad=False)
+    dqn.opt.step(grad)
+    soft_update(dqn.target, dqn.net, schedule.tau)
     return float(np.mean(td ** 2))
 
 
@@ -559,8 +578,10 @@ def _collect_arrays(maddpg: MaddpgLearner, dqns: DqnPool | None) -> dict[str, np
                          ("critic", maddpg.critics[i]), ("critic_t", maddpg.critic_targets[i])):
             for li, p in enumerate(net.params):
                 arrays[f"maddpg/{i}/{tag}/p{li}"] = p
-        for tag, opt in (("actor_opt", maddpg.actor_opts[i]), ("critic_opt", maddpg.critic_opts[i])):
-            for li, (m, v) in enumerate(zip(opt.m, opt.v)):
+        for tag, net, opt in (("actor_opt", maddpg.actors[i], maddpg.actor_opts[i]),
+                              ("critic_opt", maddpg.critics[i], maddpg.critic_opts[i])):
+            for li, (m, v) in enumerate(zip(param_views(opt.m, net.dims),
+                                            param_views(opt.v, net.dims))):
                 arrays[f"maddpg/{i}/{tag}/m{li}"] = m
                 arrays[f"maddpg/{i}/{tag}/v{li}"] = v
     if dqns is not None:

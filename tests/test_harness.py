@@ -4,7 +4,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import fields, is_dataclass
+from dataclasses import asdict, fields, is_dataclass
 
 import pytest
 
@@ -13,7 +13,10 @@ from uavcov.channel import EnvConstants, effective_power, los_probability, recei
 from uavcov.cli import main
 from uavcov.config import (ConfigError, ExperimentConfig, build_config, config_hash,
                            dump_config, parse_config_text)
-from uavcov.experiment import CsvWriter, OracleBlocks, oracle_min_blocks, run_single
+from uavcov.env import EnvConfig
+from uavcov.experiment import (CsvWriter, OracleBlocks, block_search_benchmark,
+                               oracle_min_blocks, run_single)
+from uavcov.learn import TrainSchedule
 
 from conftest import run_cli
 from test_channel import link_geometry
@@ -312,6 +315,23 @@ def test_run_directory_bytes_pinned(tmp_path):
                   for name in os.listdir(tmp_path / kind)}
            for kind in expected}
     assert got == expected
+
+
+def test_block_search_outcomes_pinned():
+    """The single-link DQN lane on a short criterion-3 schedule, outcome for outcome.
+
+    Two links of master seed 3030, warm after 32 transitions, so every later
+    step runs a dqn_update; the search steps vary from episode to episode,
+    so a change to the exploration draws or to the greedy walk moves them.
+    """
+    schedule = TrainSchedule(episodes=8, steps_per_episode=60, batch_size=16,
+                             buffer_capacity=480, warmup_transitions=32, update_interval=1,
+                             hidden=(16, 16), lr=1e-3, eps_start=1.0, eps_end=0.02,
+                             eps_frac=0.6)
+    outcomes = block_search_benchmark(2, EnvConfig(), CONSTS, schedule, 3030)
+    text = json.dumps([asdict(o) for o in outcomes], sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "28b4385d38f1120deddd01789c98d718d1ae7d7930b21d358b4b880802425b64")
 
 
 def test_static_metrics_rows_log_the_last_evaluated_step(tmp_path):

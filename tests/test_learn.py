@@ -1,16 +1,18 @@
 """Agents: action selection statistics, squashing gradients, TD updates."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from uavcov.env import EnvConfig, masked_softmax
-from uavcov.learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer,
+from uavcov.learn import (BLOCK_ACTIONS, Dqn, DqnPool, MaddpgLearner, ReplayBuffer,
                           TrainSchedule, dqn_select_action,
                           dqn_update, evaluate_frame_static,
                           maddpg_select_action, squash_gradient,
                           squash_raw_actions, td_error, train_frame)
 from uavcov import nn
-from uavcov.nn import Adam, Mlp
+from uavcov.nn import Mlp
 
 from conftest import build_world
 
@@ -169,9 +171,7 @@ def test_dqn_bandit_deterministic_rewards():
     # gamma = 0, fixed state, r(a0)=1.0, r(a1)=0.3: Q converges to the rewards
     sch = small_schedule(gamma=0.0, lr=1e-3, batch_size=16)
     rng = np.random.default_rng(2)
-    net = Mlp([2, 16, 16, 2], rng)
-    target = net.clone()
-    opt = Adam(net.params, sch.lr)
+    dqn = Dqn(Mlp([2, 16, 16, 2], rng), sch.lr)
     buf = ReplayBuffer(64, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     state = np.array([0.25, 0.0])
     for i in range(32):
@@ -179,8 +179,8 @@ def test_dqn_bandit_deterministic_rewards():
         buf.add(state=state, action=a, reward=1.0 if a == 0 else 0.3,
                 next_state=state, done=1.0)
     for _ in range(2000):
-        dqn_update(net, target, opt, buf.sample(16, rng), sch)
-    q = net.forward(state)
+        dqn_update(dqn, buf.sample(16, rng), sch)
+    q = dqn.net.forward(state)
     assert q[0] == pytest.approx(1.0, abs=0.05)
     assert q[1] == pytest.approx(0.3, abs=0.05)
 
@@ -188,13 +188,12 @@ def test_dqn_bandit_deterministic_rewards():
 def test_dqn_terminal_excludes_bootstrap():
     sch = small_schedule(gamma=0.9, lr=5e-3, batch_size=8)
     rng = np.random.default_rng(3)
-    net = Mlp([2, 8, 2], rng)
-    target = net.clone()
+    dqn = Dqn(Mlp([2, 8, 2], rng), sch.lr)
+    net, target = dqn.net, dqn.target
     # pump the target high; terminal transitions must ignore it
     for p in target.params:
         p[...] = 0.0
     target.biases[-1][...] = [100.0, 100.0]
-    opt = Adam(net.params, sch.lr)
     buf = ReplayBuffer(16, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     state = np.array([0.5, 0.0])
     for _ in range(8):
@@ -203,7 +202,7 @@ def test_dqn_terminal_excludes_bootstrap():
         batch = buf.sample(8, rng)
         # keep the target frozen at its sentinel to expose any bootstrap leak
         snapshot = [p.copy() for p in target.params]
-        dqn_update(net, target, opt, batch, sch)
+        dqn_update(dqn, batch, sch)
         for p, s in zip(target.params, snapshot):
             p[...] = s
     assert net.forward(state)[0] == pytest.approx(0.0, abs=0.05)
@@ -215,13 +214,40 @@ def test_dqn_zero_rewards_zero_loss():
     net = Mlp([2, 8, 2], rng)
     for p in net.params:
         p[...] = 0.0
-    target = net.clone()
-    opt = Adam(net.params, sch.lr)
+    dqn = Dqn(net, sch.lr)
     buf = ReplayBuffer(16, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     for _ in range(8):
         buf.add(state=np.zeros(2), action=0, reward=0.0, next_state=np.zeros(2), done=0.0)
-    loss = dqn_update(net, target, opt, buf.sample(8, rng), sch)
+    loss = dqn_update(dqn, buf.sample(8, rng), sch)
     assert loss == pytest.approx(0.0, abs=1e-12)
+
+
+def test_dqn_update_bytes_pinned():
+    # fifty single-link TD steps on a non-zero head: the online and target
+    # parameters, the Adam moments and the losses, byte for byte
+    sch = small_schedule(gamma=0.9, tau=0.05, lr=1e-3, batch_size=16)
+    rng = np.random.default_rng(5)
+    dqn = Dqn(Mlp([2, 16, 16, 2], rng), sch.lr)
+    buf = ReplayBuffer(64, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
+    for i in range(64):
+        buf.add(state=rng.uniform(size=2), action=i % 2, reward=float(rng.random() < 0.3),
+                next_state=rng.uniform(size=2), done=float(rng.random() < 0.2))
+    losses = [dqn_update(dqn, buf.sample(16, rng), sch) for _ in range(50)]
+    blob = b"".join(a.tobytes() for a in (dqn.net.flat, dqn.target.flat, dqn.opt.m,
+                                          dqn.opt.v, np.array(losses)))
+    assert hashlib.sha256(blob).hexdigest() == (
+        "48f5af35a079d1f39a2bcb6c15424cfc5e2c137e86d2da5dfb4bddb5bfecd5a2")
+
+
+def test_dqn_pair_rows_are_the_target_and_the_net():
+    init = Mlp([2, 4, 2], np.random.default_rng(6))
+    dqn = Dqn(init, 1e-3)
+    assert dqn.pair.shape == (2, init.flat.size)
+    assert np.shares_memory(dqn.target.flat, dqn.pair[0])
+    assert np.shares_memory(dqn.net.flat, dqn.pair[1])
+    assert np.shares_memory(dqn.opt.params, dqn.pair[1])
+    assert not np.shares_memory(dqn.pair, init.flat)
+    assert np.array_equal(dqn.pair[0], init.flat) and np.array_equal(dqn.pair[1], init.flat)
 
 
 def test_train_frame_smoke_and_determinism():
@@ -295,7 +321,8 @@ def test_stacked_qnets_match_single_nets():
         rng_i = np.random.default_rng(100 + row)
         stack.init_row(row, rng_i)
         net = zero_head_mlp(dims, np.random.default_rng(100 + row))
-        singles.append({"net": net, "target": net.clone(), "opt": Adam(net.params, sch.lr)})
+        dqn = Dqn(net, sch.lr)
+        singles.append({"net": dqn.net, "target": dqn.target, "dqn": dqn})
         for li in range(len(net.weights)):
             assert np.array_equal(stack.weights[li][row], net.weights[li])
 
@@ -316,7 +343,7 @@ def test_stacked_qnets_match_single_nets():
         stack.update(idx, batch, sch.gamma, sch.tau)
         for r, ent in enumerate(singles):
             single_batch = {k: v[r] for k, v in batch.items()}
-            dqn_update(ent["net"], ent["target"], ent["opt"], single_batch, sch)
+            dqn_update(ent["dqn"], single_batch, sch)
     for r, (row, ent) in enumerate(zip((1, 3), singles)):
         for li in range(len(ent["net"].weights)):
             assert np.array_equal(stack.weights[li][row], ent["net"].weights[li])
@@ -358,8 +385,10 @@ def test_stacked_qnets_float32_update_matches_float32_reference():
             acts = []
             q = nn.forward(ref["p"][:n], ref["p"][n:], row_batch["state"], acts)
             _, grad_out = td_error(q, q_next, row_batch, sch.gamma)
-            grads_w, grads_b, _ = nn.backward(ref["p"][:n], acts, grad_out)
-            for p, g, m, v, t in zip(ref["p"], grads_w + grads_b, ref["m"], ref["v"], ref["t"]):
+            grad, _ = nn.backward(ref["p"][:n], acts, grad_out)
+            grads = nn.param_views(grad, dims)
+            for p, g, m, v, t in zip(ref["p"], grads[0::2] + grads[1::2], ref["m"], ref["v"],
+                                     ref["t"]):
                 nn.adam_update(p, g, m, v, b1t, b2t, sch.lr)
                 nn.blend(t, p, sch.tau)
     stacked = {"p": stack.weights + stack.biases, "t": stack.t_weights + stack.t_biases,
@@ -402,22 +431,17 @@ def test_stacked_qnets_gradients_match_finite_differences():
         return float(np.sum((taken - y) ** 2) / 4)
 
     # lr 0 so update() computes gradients without moving; recompute them here
-    # by finite differences of the same loss, parameter by parameter
+    # by finite differences of the same loss, entry by entry of the flat store
     h = 1e-6
-    params = stack.weights + stack.biases
-    numeric = []
-    for p in params:
-        g = np.zeros_like(p)
-        flat, gflat = p.ravel(), g.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp = td_loss()
-            flat[i] = orig - h
-            lm = td_loss()
-            flat[i] = orig
-            gflat[i] = (lp - lm) / (2 * h)
-        numeric.append(g)
+    numeric = np.zeros_like(stack.flat)
+    for i in np.ndindex(stack.flat.shape):
+        orig = stack.flat[i]
+        stack.flat[i] = orig + h
+        lp = td_loss()
+        stack.flat[i] = orig - h
+        lm = td_loss()
+        stack.flat[i] = orig
+        numeric[i] = (lp - lm) / (2 * h)
 
     # the analytic gradients as update() computes them: td_error, then nn.backward
     acts = []
@@ -430,8 +454,8 @@ def test_stacked_qnets_gradients_match_finite_differences():
     grad_out[np.arange(2)[:, None], np.arange(4)[None, :], a] = 2.0 * td / 4
     td_learn, grad_learn = td_error(q, q, batch, 0.9)
     assert np.array_equal(td_learn, td) and np.array_equal(grad_learn, grad_out)
-    grads_w, grads_b, _ = nn.backward(weights, acts, grad_out)
-    for analytic, num in zip(grads_w + grads_b, numeric):
+    grad, _ = nn.backward(weights, acts, grad_out)
+    for analytic, num in zip(nn.param_views(grad, dims), nn.param_views(numeric, dims)):
         denom = np.maximum(np.abs(num), 1e-6)
         assert np.max(np.abs(analytic - num) / denom) < 1e-4
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uavcov import nn
 from uavcov.learn import ReplayBuffer
 from uavcov.nn import Adam, Mlp, soft_update
 
@@ -88,7 +89,7 @@ def test_gradients_match_finite_differences():
         out, cache = net.forward_cached(x)
         analytic, _ = net.backward(cache, out - target)
         numeric = finite_difference_grads(net, x, target)
-        for a, n in zip(analytic, numeric):
+        for a, n in zip(nn.param_views(analytic, dims), numeric):
             denom = np.maximum(np.abs(n), 1e-6)
             assert np.max(np.abs(a - n) / denom) < 1e-4
 
@@ -128,22 +129,22 @@ def test_input_gradient():
 def test_adam_zero_gradient_no_move():
     net = Mlp([2, 2], np.random.default_rng(9))
     before = [p.copy() for p in net.params]
-    opt = Adam(net.params, lr=0.1)
-    opt.step(net.params, [np.zeros_like(p) for p in net.params])
+    opt = Adam(net.flat, lr=0.1)
+    opt.step(np.zeros_like(net.flat))
     for b, p in zip(before, net.params):
         assert np.array_equal(b, p)
 
 
 def test_adam_first_step_is_signed_lr():
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     opt = Adam(p, lr=1e-3)
-    opt.step(p, [np.array([42.0])])
+    opt.step(np.array([42.0]))
     # bias-corrected first step: -lr * g / (|g| + ~eps)
-    assert p[0][0] == pytest.approx(1.0 - 1e-3, rel=1e-6)
-    p2 = [np.array([1.0])]
+    assert p[0] == pytest.approx(1.0 - 1e-3, rel=1e-6)
+    p2 = np.array([1.0])
     opt2 = Adam(p2, lr=1e-3)
-    opt2.step(p2, [np.array([-0.5])])
-    assert p2[0][0] == pytest.approx(1.0 + 1e-3, rel=1e-6)
+    opt2.step(np.array([-0.5]))
+    assert p2[0] == pytest.approx(1.0 + 1e-3, rel=1e-6)
 
 
 def test_adam_deterministic():
@@ -151,11 +152,11 @@ def test_adam_deterministic():
     grads = [rng.normal(size=3) for _ in range(5)]
     results = []
     for _ in range(2):
-        p = [np.zeros(3)]
+        p = np.zeros(3)
         opt = Adam(p, lr=0.01)
         for g in grads:
-            opt.step(p, [g])
-        results.append(p[0].copy())
+            opt.step(g)
+        results.append(p.copy())
     assert np.array_equal(results[0], results[1])
 
 
@@ -195,6 +196,111 @@ def test_soft_update_contraction():
 def test_mlp_rejects_bad_dims():
     with pytest.raises(ValueError):
         Mlp([4], np.random.default_rng(0))
+
+
+def test_params_are_views_of_the_flat_vector():
+    dims = [3, 5, 4, 2]
+    net = Mlp(dims, np.random.default_rng(30))
+    assert net.flat.shape == (nn.param_count(dims),)
+    assert [p.shape for p in net.params] == [(3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    assert all(np.shares_memory(p, net.flat) for p in net.params)
+    assert np.array_equal(np.concatenate([p.ravel() for p in net.params]), net.flat)
+    net.flat[...] = 0.0
+    assert not any(p.any() for p in net.params)
+
+
+def test_init_draws_each_layer_weights_then_biases():
+    net = Mlp([3, 5, 2], np.random.default_rng(31))
+    ref = np.random.default_rng(31)
+    for w, b in zip(net.weights, net.biases):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        assert np.array_equal(w, ref.uniform(-bound, bound, size=w.shape))
+        assert np.array_equal(b, ref.uniform(-bound, bound, size=b.shape))
+
+
+def test_clone_shares_no_memory():
+    net = Mlp([3, 5, 2], np.random.default_rng(32))
+    twin = net.clone()
+    assert np.array_equal(twin.flat, net.flat)
+    assert not any(np.shares_memory(a, b)
+                   for a in [twin.flat] + twin.params for b in [net.flat] + net.params)
+    twin.weights[0][...] += 1.0
+    assert not np.array_equal(twin.flat, net.flat)
+    assert all(np.shares_memory(p, twin.flat) for p in twin.params)
+
+
+def test_fused_adam_and_soft_update_match_the_per_parameter_loop():
+    # one adam_update and one blend over the flat vector against the same
+    # kernels run parameter by parameter, bit for bit, over three steps
+    rng = np.random.default_rng(33)
+    dims = [4, 6, 3]
+    net, target = Mlp(dims, rng), Mlp(dims, rng)
+    opt = Adam(net.flat, lr=1e-2)
+    ref_p = [p.copy() for p in net.params]
+    ref_t = [p.copy() for p in target.params]
+    ref_m = [np.zeros_like(p) for p in net.params]
+    ref_v = [np.zeros_like(p) for p in net.params]
+    for t in range(1, 4):
+        grad = rng.normal(size=net.flat.size)
+        opt.step(grad)
+        soft_update(target, net, 0.05)
+        for p, g, m, v, tp in zip(ref_p, nn.param_views(grad, dims), ref_m, ref_v, ref_t):
+            nn.adam_update(p, g, m, v, 1.0 - nn.BETA1 ** t, 1.0 - nn.BETA2 ** t, opt.lr)
+            nn.blend(tp, p, 0.05)
+    for got, want in ((net.params, ref_p), (target.params, ref_t),
+                      (nn.param_views(opt.m, dims), ref_m), (nn.param_views(opt.v, dims), ref_v)):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_fused_kernels_match_the_per_parameter_loop_on_float32_stack_rows():
+    # the stacked DQN step: per-row bias corrections, float32 throughout
+    rng = np.random.default_rng(34)
+    dims = [3, 8, 2]
+    size = nn.param_count(dims)
+    p, tp = (rng.normal(size=(3, size)).astype(np.float32) for _ in range(2))
+    m, v = np.zeros((2, 3, size), np.float32)
+    refs = {name: [a.copy() for a in nn.param_views(arr, dims)]
+            for name, arr in (("p", p), ("t", tp), ("m", m), ("v", v))}
+    steps = np.array([0, 3, 8])
+    for _ in range(3):
+        grad = rng.normal(size=(3, size)).astype(np.float32)
+        steps += 1
+        b1t = (1.0 - nn.BETA1 ** steps).astype(np.float32)
+        b2t = (1.0 - nn.BETA2 ** steps).astype(np.float32)
+        nn.adam_update(p, grad, m, v, b1t[:, None], b2t[:, None], 1e-3)
+        nn.blend(tp, p, 0.05)
+        for i, g in enumerate(nn.param_views(grad, dims)):
+            shape = (-1,) + (1,) * (g.ndim - 1)
+            nn.adam_update(refs["p"][i], g, refs["m"][i], refs["v"][i],
+                           b1t.reshape(shape), b2t.reshape(shape), 1e-3)
+            nn.blend(refs["t"][i], refs["p"][i], 0.05)
+    for name, arr in (("p", p), ("t", tp), ("m", m), ("v", v)):
+        assert arr.dtype == np.float32
+        for a, b in zip(nn.param_views(arr, dims), refs[name]):
+            assert b.dtype == np.float32 and np.array_equal(a, b), name
+
+
+def test_backward_skipping_a_gradient_keeps_the_bits_of_the_other():
+    rng = np.random.default_rng(35)
+    dims = [3, 6, 5, 2]
+    net = Mlp(dims, rng)
+    stack = rng.normal(size=(4, nn.param_count(dims))).astype(np.float32)
+    cases = [(net.weights, net.biases, rng.normal(size=(7, 3)), rng.normal(size=(7, 2)))]
+    weights, biases = nn.layer_views(stack, dims)
+    cases.append((weights, biases, rng.normal(size=(4, 7, 3)).astype(np.float32),
+                  rng.normal(size=(4, 7, 2)).astype(np.float32)))
+    for weights, biases, x, delta in cases:
+        acts = []
+        nn.forward(weights, biases, x, acts)
+        grad, grad_in = nn.backward(weights, acts, delta)
+        assert grad.shape == x.shape[:-2] + (nn.param_count(dims),)
+        only_grad, none_in = nn.backward(weights, acts, delta, input_grad=False)
+        none_grad, only_in = nn.backward(weights, acts, delta, param_grads=False)
+        assert none_in is None and none_grad is None
+        assert np.array_equal(only_grad, grad) and np.array_equal(only_in, grad_in)
+    _, cache = net.forward_cached(cases[0][2])
+    assert np.array_equal(net.backward(cache, cases[0][3], input_grad=False)[0],
+                          net.backward(cache, cases[0][3])[0])
 
 
 def test_replay_buffer_roundtrip_and_uniformity():
