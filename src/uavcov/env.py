@@ -227,17 +227,26 @@ class FrameWorld:
         self.blocks[j] = np.floor(bw_fracs * cfg.block_limit).astype(np.int64)
         return np.concatenate([[alt01], fracs, bw_fracs])
 
-    def apply_block_action(self, j: int, s: int, action: int):
-        """Increment/decrement one slot's blocks within the shared budget.
+    def apply_block_action(self, j, s, action):
+        """Increment/decrement slots' blocks within each UAV's shared budget.
 
-        Frozen slots ignore actions; the result is clamped to
+        j, s and action are one slot's, or arrays over distinct slots; the
+        result is that of one call per slot in row-major order. Frozen slots
+        ignore actions; each result is clamped to
         [0, block_limit - sum(other slots)] so the budget always holds.
+
+        Per UAV, a slot's move x (the action, floored at minus its blocks)
+        only meets the top clamp, which the running block sum S hits when
+        S0 + cumsum(x) reaches block_limit. S is then the walk reflected
+        there, S = P + min(S0, block_limit - max(P up to here)) with
+        P = cumsum(x), and each slot moves by the step of S it makes.
         """
-        if self.frozen[j, s]:
-            return
-        row = self.blocks[j]
-        remaining = self.cfg.block_limit - (int(row.sum()) - int(row[s]))
-        row[s] = min(max(int(row[s]) + int(action), 0), remaining)
+        x = np.zeros_like(self.blocks)
+        x[j, s] = np.where(self.frozen[j, s], 0, np.maximum(action, -self.blocks[j, s]))
+        p = np.cumsum(x, axis=1)
+        s0 = self.blocks.sum(axis=1, keepdims=True)
+        running = p + np.minimum(s0, self.cfg.block_limit - np.maximum.accumulate(p, axis=1))
+        self.blocks += np.diff(running, axis=1, prepend=s0)
 
     # ----- evaluation -----
 

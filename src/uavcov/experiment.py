@@ -12,11 +12,15 @@ functions of (config, seed); wall-clock timing is reported on stdout only,
 never written into result files.
 """
 
+import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
 import shutil
 import time
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -86,9 +90,12 @@ class CsvWriter:
 
 
 def _write_json(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write through a tmp file, so that path holds the whole document or none."""
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 # ----- run directories -----
@@ -105,10 +112,36 @@ CSV_COLUMNS = {
 }
 
 
+@contextlib.contextmanager
+def _atomic_dir(out_dir: str):
+    """Yield the sibling directory `<out_dir>.partial` to write a run into.
+
+    When the body completes, the partial directory replaces out_dir, so a
+    rerun keeps no stale file of an earlier one. When it raises, the partial
+    directory is removed and an earlier out_dir stays as it was; a killed
+    run leaves only `.partial` (or `.old`) siblings, which the next run
+    removes.
+    """
+    out_dir = os.path.normpath(out_dir)
+    partial, old = out_dir + ".partial", out_dir + ".old"
+    for stale in (partial, old):
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(partial)
+    try:
+        yield partial
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    # a directory is only renamed onto an empty one: move the earlier run aside
+    if os.path.isdir(out_dir):
+        os.replace(out_dir, old)
+    os.replace(partial, out_dir)
+    shutil.rmtree(old, ignore_errors=True)
+
+
 def _open_run_dir(out_dir: str, cfg: ExperimentConfig, seed: int, method: str,
                   stems: list[str]) -> dict[str, CsvWriter]:
-    """Create the run directory, write its config.txt, open the named CSVs."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write the new run directory's config.txt, open the named CSVs."""
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_config(cfg, {"seed": seed, "method": method}))
     return {stem: CsvWriter(os.path.join(out_dir, f"{stem}.csv"), CSV_COLUMNS[stem])
@@ -180,23 +213,90 @@ def _write_frame(out: dict[str, CsvWriter], frame: int, state, pts, plan):
                             plan.k_star, plan.silhouette_mean)
 
 
+# ----- BLAS threads -----
+
+# get/set_num_threads of OpenBLAS builds: numpy's wheels (ILP64, prefixed)
+# first, then plain OpenBLAS
+_OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}64_", "scipy_openblas_{}", "openblas_{}")
+
+
+@functools.cache
+def _openblas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS numpy loaded, or None.
+
+    The library is found among the process's mapped files, which Linux
+    lists in /proc/self/maps; elsewhere, or with another BLAS, none is found.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split(None, 5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SYMBOLS:
+            try:
+                get = getattr(lib, symbol.format("get_num_threads"))
+                set_ = getattr(lib, symbol.format("set_num_threads"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body under one OpenBLAS thread; restore the caller's count after.
+
+    The nets' matrices are tiny: a second BLAS thread gains no wall time
+    and spins between calls, doubling the CPU time of a training run and
+    taking the core another run could use. Thread counts never change
+    results. Without a known OpenBLAS this does nothing.
+    """
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+# ----- single run -----
+
 def run_single(cfg: ExperimentConfig, method: str, seed: int, out_dir: str,
                quiet: bool = False, checkpoint: bool = False) -> RunSummary:
     """Run one method on one seed over all frames; write the run directory.
 
-    A failure while writing removes the partially written run directory
-    before the error propagates, so output directories never hold torsos.
+    The run is written into `<out_dir>.partial`, which replaces out_dir when
+    the run completes; a failure removes it, so output directories never hold
+    torsos. Training runs under one BLAS thread.
     """
-    try:
-        return _run_single(cfg, method, seed, out_dir, quiet, checkpoint)
-    except Exception:
-        shutil.rmtree(out_dir, ignore_errors=True)
-        raise
+    t0 = time.perf_counter()
+    with _atomic_dir(out_dir) as partial, _one_blas_thread():
+        summary = _run_single(cfg, method, seed, partial, checkpoint)
+    if not quiet:
+        print(_run_line(summary, time.perf_counter() - t0, cfg.frames))
+    return summary
+
+
+def _run_line(summary: RunSummary, wall: float, frames: int) -> str:
+    return (f"[{summary.method} seed={summary.seed}] mean served {summary.mean_served:.2f} "
+            f"over {frames} frames ({wall:.1f}s)")
 
 
 def _run_single(cfg: ExperimentConfig, method: str, seed: int,
-                out_dir: str, quiet: bool, checkpoint: bool) -> RunSummary:
-    t0 = time.perf_counter()
+                out_dir: str, checkpoint: bool) -> RunSummary:
     env_cfg = cfg.env
     schedule = cfg.schedule
     grid = _grid_for(cfg, seed)
@@ -271,29 +371,83 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
             "method": method,
         })
 
-    wall = time.perf_counter() - t0
     if checkpoint and maddpg is not None:
         save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), maddpg, dqns,
                         {"frames_completed": cfg.frames})
     for w in out.values():
         w.close()
     summary.write(os.path.join(out_dir, "summary.json"))
-    if not quiet:
-        print(f"[{method} seed={seed}] mean served {summary.mean_served:.2f} "
-              f"over {cfg.frames} frames ({wall:.1f}s)")
     return summary
+
+
+# ----- many runs across CPUs -----
+
+# submit order of run_jobs: the longest runs first, so that none starts last
+_LONGEST_FIRST = {"flare": 0, "maddpg_only": 1}
+
+
+def _adopt_warning_filters(filters: list):
+    """Pool worker initializer: the caller's warning filters, in place of the defaults."""
+    warnings.resetwarnings()
+    warnings.filters[:] = filters
+
+
+def _timed_run(cfg: ExperimentConfig, method: str, seed: int, out_dir: str,
+               checkpoint: bool) -> tuple[RunSummary, float]:
+    t0 = time.perf_counter()
+    summary = run_single(cfg, method, seed, out_dir, quiet=True, checkpoint=checkpoint)
+    return summary, time.perf_counter() - t0
+
+
+def run_jobs(jobs: list[tuple[ExperimentConfig, str, int, str]],
+             checkpoint: bool = False) -> list[tuple[RunSummary, float]]:
+    """run_single each (config, method, seed, out_dir) job in worker processes.
+
+    Returns each job's summary and wall time, in job order. One worker per
+    CPU this process may use, at most one per job; each worker is a spawned
+    interpreter under the caller's warning filters, and none outlives the
+    call. A failed job cancels the jobs not yet started, and its error is
+    raised once the running ones have finished.
+    """
+    # imported here: the pool's modules would add to every run's start-up
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    if not jobs:
+        return []
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    order = sorted(range(len(jobs)), key=lambda i: _LONGEST_FIRST.get(jobs[i][1], 2))
+    with ProcessPoolExecutor(max_workers=min(cpus or 1, len(jobs)),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_adopt_warning_filters,
+                             initargs=(list(warnings.filters),)) as pool:
+        futures = {i: pool.submit(_timed_run, *jobs[i], checkpoint) for i in order}
+        try:
+            for future in as_completed(futures.values()):
+                future.result()
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+        return [futures[i].result() for i in range(len(jobs))]
 
 
 def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
                    quiet: bool = False, checkpoint: bool = False) -> dict:
-    """Run the configured seeds (and methods) and write a comparison summary."""
+    """Run the configured seeds (and methods) and write a comparison summary.
+
+    The (method, seed) runs go through run_jobs; their lines print in
+    method-then-seed order once all have finished.
+    """
     methods = methods or [cfg.method]
-    results: dict[str, list[RunSummary]] = {m: [] for m in methods}
-    for method in methods:
-        for seed in cfg.seeds:
-            out = os.path.join(cfg.out_dir, f"{method}_seed{seed}")
-            results[method].append(run_single(cfg, method, seed, out, quiet=quiet,
-                                              checkpoint=checkpoint))
+    pairs = list(dict.fromkeys((m, s) for m in methods for s in cfg.seeds))
+    runs = dict(zip(pairs, run_jobs(
+        [(cfg, m, s, os.path.join(cfg.out_dir, f"{m}_seed{s}")) for m, s in pairs],
+        checkpoint)))
+    results = {m: [runs[m, s][0] for s in cfg.seeds] for m in methods}
+    if not quiet:
+        for m in methods:
+            for s in cfg.seeds:
+                print(_run_line(*runs[m, s], cfg.frames))
     comparison = {
         "r_th": float(cfg.env.r_th),
         "seeds": list(cfg.seeds),
@@ -320,11 +474,12 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
 def run_simulation(cfg: ExperimentConfig, seed: int, out_dir: str):
     """Mobility and clustering streams only (no radio, no learning)."""
     grid = _grid_for(cfg, seed)
-    out = _open_run_dir(out_dir, cfg, seed, "simulate", ["trajectories", "clusters"])
-    for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
-        _write_frame(out, frame, state, pts, plan)
-    for w in out.values():
-        w.close()
+    with _atomic_dir(out_dir) as partial:
+        out = _open_run_dir(partial, cfg, seed, "simulate", ["trajectories", "clusters"])
+        for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
+            _write_frame(out, frame, state, pts, plan)
+        for w in out.values():
+            w.close()
 
 
 # ----- oracle table -----

@@ -515,8 +515,7 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
                 if js.size:
                     states = world.dqn_obs(world.maddpg_obs(), js, ss)
                     actions = dqns.select_many(js * S + ss, states, eps, expl_rng)
-                    for j, s, a_idx in zip(js.tolist(), ss.tolist(), actions.tolist()):
-                        world.apply_block_action(j, s, BLOCK_ACTIONS[a_idx])
+                    world.apply_block_action(js, ss, np.take(BLOCK_ACTIONS, actions))
 
             _, _, rewards, ue_rewards = world.evaluate(e, t)
             next_obs = world.maddpg_obs()

@@ -17,7 +17,7 @@ from uavcov.channel import (EnvConstants, achievable_rate, effective_power,
                             los_probability, received_power)
 from uavcov.config import build_config
 from uavcov.env import EnvConfig
-from uavcov.experiment import block_search_benchmark, run_single
+from uavcov.experiment import block_search_benchmark, run_jobs
 from uavcov.learn import TrainSchedule
 from uavcov.nn import Mlp, param_views
 
@@ -230,17 +230,16 @@ def test_criterion_5_step_invariants():
 
 @pytest.fixture(scope="session")
 def desk_runs(tmp_path_factory):
+    # the nine runs go through run_experiment's worker pool
     out = tmp_path_factory.mktemp("desk")
+    methods = ("flare", "maddpg_only", "static")
     seeds = [1, 2, 3]
-    results = {}
+    jobs = [(build_config({"seeds": [seed], "r_th": 5e6}), method, seed,
+             str(out / f"{method}_seed{seed}")) for method in methods for seed in seeds]
     t0 = time.perf_counter()
-    for method in ("flare", "maddpg_only", "static"):
-        per_seed = []
-        for seed in seeds:
-            cfg = build_config({"seeds": [seed], "r_th": 5e6})
-            per_seed.append(run_single(cfg, method, seed,
-                                       str(out / f"{method}_seed{seed}"), quiet=True))
-        results[method] = per_seed
+    summaries = [summary for summary, _ in run_jobs(jobs)]
+    results = {method: summaries[i * len(seeds):(i + 1) * len(seeds)]
+               for i, method in enumerate(methods)}
     results["wall"] = time.perf_counter() - t0
     return results
 

@@ -451,3 +451,29 @@ def test_run_single_cleans_partial_output(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         experiment.run_single(cfg, "static", 1, str(out), quiet=True)
     assert not out.exists()
+
+
+def test_rerun_keeps_no_stale_file(tmp_path):
+    cfg = tiny_config()
+    out = tmp_path / "run"
+    run_single(cfg, "maddpg_only", 1, str(out), quiet=True, checkpoint=True)
+    assert (out / "checkpoint.bin").exists()
+    run_single(cfg, "maddpg_only", 1, str(out), quiet=True)
+    assert not (out / "checkpoint.bin").exists()
+    assert os.listdir(tmp_path) == ["run"]
+
+
+def test_failed_rerun_keeps_the_earlier_run_directory(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    out = tmp_path / "run"
+    run_single(cfg, "static", 1, str(out), quiet=True)
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+    def failing(self, *values):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiment.CsvWriter, "row", failing)
+    with pytest.raises(OSError, match="disk full"):
+        run_single(cfg, "static", 1, str(out), quiet=True)
+    assert os.listdir(tmp_path) == ["run"]
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before

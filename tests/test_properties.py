@@ -21,9 +21,9 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 
 
 @st.composite
-def worlds(draw):
-    """Keyword arguments of build(): a clustering of 1-7 users onto UAV slots."""
-    n_ues = draw(st.integers(1, 7))
+def worlds(draw, max_ues=7):
+    """Keyword arguments of build(): a clustering of 1 to max_ues users onto UAV slots."""
+    n_ues = draw(st.integers(1, max_ues))
     k_max = draw(st.integers(1, 4))
     k = draw(st.integers(1, min(n_ues, k_max)))
     extra = draw(st.lists(st.integers(0, k - 1), min_size=n_ues - k, max_size=n_ues - k))
@@ -144,3 +144,43 @@ def test_random_action_sequences_replay_identically(spec, ops):
     for name in ("h", "xy", "power", "blocks", "served", "frozen"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
     assert a.audit == b.audit
+
+
+def sequential_clamp(world: FrameWorld, j: int, s: int, action: int):
+    """Reference: one slot's clamped block action, reading slots moved before it."""
+    if world.frozen[j, s]:
+        return
+    row = world.blocks[j]
+    remaining = world.cfg.block_limit - (int(row.sum()) - int(row[s]))
+    row[s] = min(max(int(row[s]) + int(action), 0), remaining)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(spec=worlds(max_ues=24), data=st.data())
+def test_block_actions_over_slots_match_the_sequential_clamp(spec, data):
+    a, b = build(**spec), build(**spec)
+    limit = a.cfg.block_limit
+    js, ss = np.nonzero(a.mask)
+    small = data.draw(st.lists(st.integers(0, 2), min_size=js.size, max_size=js.size))
+    blocks = np.zeros_like(a.blocks)
+    blocks[js, ss] = small
+    for j in a.active_idx:
+        # a UAV near its budget puts the rest of it on one slot
+        if data.draw(st.booleans()):
+            s = data.draw(st.integers(0, a.n_slots[j] - 1))
+            headroom = data.draw(st.integers(0, 3))
+            blocks[j, s] += max(0, limit - headroom - blocks[j].sum())
+    frozen = np.zeros_like(a.frozen)
+    frozen[js, ss] = data.draw(st.lists(st.booleans(), min_size=js.size, max_size=js.size))
+    chosen = np.array(data.draw(st.lists(st.booleans(), min_size=js.size, max_size=js.size)),
+                      dtype=bool)
+    actions = np.array(data.draw(st.lists(st.sampled_from((1, -1)), min_size=js.size,
+                                          max_size=js.size)), dtype=np.int64)[chosen]
+    for world in (a, b):
+        world.blocks[...] = blocks
+        world.frozen[...] = frozen
+    a.apply_block_action(js[chosen], ss[chosen], actions)
+    for j, s, action in zip(js[chosen], ss[chosen], actions):
+        sequential_clamp(b, j, s, action)
+    assert np.array_equal(a.blocks, b.blocks)
+    assert np.all(a.blocks.sum(axis=1) <= limit)
