@@ -1,7 +1,9 @@
 """Air-to-ground link budget.
 
 Pure functions for geometry, LoS probability, fading, received power and
-achievable rate; FrameWorld.evaluate adds the inter-UAV interference. All
+achievable rate. mixed_power is the one LoS/NLoS-mixed link power, shared by
+FrameWorld.evaluate (which adds the inter-UAV interference), the block oracle
+table and the single-link benchmark. All
 functions accept scalars or numpy arrays (broadcasting elementwise), so the
 same code evaluates a single test link, a whole frame of links, and a frame
 held over T steps: per-link terms of shape (n,) broadcast against (T, n)
@@ -80,6 +82,13 @@ def effective_power(p_los, power_los, power_nlos):
     pl = np.asarray(p_los, dtype=float)
     out = pl * np.asarray(power_los, dtype=float) + (1.0 - pl) * np.asarray(power_nlos, dtype=float)
     return out if out.ndim else float(out)
+
+
+def mixed_power(p_tx, r, theta, gain_los, gain_nlos, env: EnvConstants):
+    """Received power of a link at slant range r and elevation theta, LoS and NLoS mixed."""
+    return effective_power(los_probability(theta, env),
+                           received_power(p_tx, r, gain_los, env.alpha_los),
+                           received_power(p_tx, r, gain_nlos, env.alpha_nlos))
 
 
 def achievable_rate(bandwidth, power_eff, interference, noise):

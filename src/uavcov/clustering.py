@@ -2,13 +2,13 @@
 
 Lloyd iterations with k-means++ seeding and a fixed number of restarts per k,
 every k and restart of a frame run as one batch; the cluster count is chosen
-by the mean silhouette over k = 2..k_max.
-UAVs are placed at the centroids of the selected clusters; cluster labels are
-matched to the previous frame's UAV identities by greedy nearest-centroid
-pairing so UAVs track clusters instead of swapping.
+by the mean silhouette over k = 2..k_max. Cluster labels are matched to the
+previous frame's UAV identities by greedy nearest-centroid pairing, so UAVs
+track clusters instead of swapping; the resulting ClusterPlan is all a
+FrameWorld needs to place its UAVs over the centroids.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -230,25 +230,5 @@ def match_to_previous(plan: ClusterPlan, prev_centroids: dict[int, np.ndarray], 
     for c in range(k):
         if c not in uav_of_cluster:
             uav_of_cluster[c] = unused.pop(0)
-    return ClusterPlan(
-        k_star=k,
-        assignment=plan.assignment,
-        centroids=plan.centroids,
-        silhouette_mean=plan.silhouette_mean,
-        active_uavs=[uav_of_cluster[c] for c in range(k)],
-    )
+    return replace(plan, active_uavs=[uav_of_cluster[c] for c in range(k)])
 
-
-def place_uavs(plan: ClusterPlan, altitude_init: float, k_max: int):
-    """UAV placements from a plan: (k_max, 3) xyz array plus active flags.
-
-    UAV active_uavs[c] hovers over the centroid of cluster c at the initial
-    altitude; all other UAVs are inactive (parked, zero coordinates).
-    """
-    xyz = np.zeros((k_max, 3), dtype=float)
-    active = np.zeros(k_max, dtype=bool)
-    for c, uav in enumerate(plan.active_uavs):
-        xyz[uav, :2] = plan.centroids[c]
-        xyz[uav, 2] = altitude_init
-        active[uav] = True
-    return xyz, active

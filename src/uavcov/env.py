@@ -1,9 +1,11 @@
 """Multi-agent decision environment for one mobility frame.
 
-A FrameWorld snapshots the users, clusters and UAV placements of a single
-frame and exposes the per-timestep machinery: observation vectors, mapping of
-raw network outputs onto feasible actions (power simplex, altitude interval,
-block budget), rate/reward evaluation, and the serve-and-freeze bookkeeping.
+A FrameWorld is built from a single frame's users and ClusterPlan: the UAV
+serving cluster c hovers over its centroid at mid altitude, and the cluster's
+users fill that UAV's slots. It exposes the per-timestep machinery:
+observation vectors, mapping of raw network outputs onto feasible actions
+(power simplex, altitude interval, block budget), rate/reward evaluation, and
+the serve-and-freeze bookkeeping.
 Evaluation takes one step or a 1-D array of steps over which the allocation
 is held: only the fading differs between those steps, so the geometry, LoS
 probability, interferer powers and audit are computed once for all of them.
@@ -110,8 +112,8 @@ class FrameWorld:
     """
 
     def __init__(self, cfg: EnvConfig, constants: EnvConstants, ue_xy_m: np.ndarray,
-                 plan: ClusterPlan, uav_xyz: np.ndarray, active: np.ndarray,
-                 fading: channel.FadingField, frame: int, field_size_m: tuple[float, float]):
+                 plan: ClusterPlan, fading: channel.FadingField, frame: int,
+                 field_size_m: tuple[float, float]):
         self.cfg = cfg
         self.constants = constants
         self.ue_xy = np.asarray(ue_xy_m, dtype=float)
@@ -120,20 +122,19 @@ class FrameWorld:
         self.audit = {c: 0 for c in ("C1", "C4", "C5", "C6", "C7")}
 
         K, S = cfg.k_max, cfg.slots
-        self.active_idx = [j for j in range(K) if active[j]]
-        cluster_of_uav = {u: c for c, u in enumerate(plan.active_uavs)}
+        self.active_idx = sorted(plan.active_uavs)
         self.slot_ues = np.full((K, S), -1, dtype=np.int64)   # UE index or -1 padding
-        for j in self.active_idx:
-            members = np.flatnonzero(plan.assignment == cluster_of_uav[j])
+        self.xy = np.zeros((K, 2))
+        self.h = np.zeros(K)
+        for c, j in enumerate(plan.active_uavs):
+            members = np.flatnonzero(plan.assignment == c)
             if members.size > S:
                 raise ValueError("cluster exceeds the configured slot count")
             self.slot_ues[j, : members.size] = members
+            self.xy[j] = plan.centroids[c]
+            self.h[j] = (cfg.h_min + cfg.h_max) / 2.0
         self.mask = self.slot_ues >= 0
         self.n_slots = self.mask.sum(axis=1)
-        self.xy = np.zeros((K, 2))
-        self.xy[self.active_idx] = uav_xyz[self.active_idx, :2]
-        self.h = np.zeros(K)
-        self.h[self.active_idx] = uav_xyz[self.active_idx, 2]
         self.power = np.zeros((K, S))                     # W
         self.blocks = np.zeros((K, S), dtype=np.int64)
         self.served = np.zeros((K, S), dtype=bool)
@@ -288,11 +289,7 @@ class FrameWorld:
         r, theta = channel.slant_geometry(self._ground_d, h)   # (n, |act|)
         r_serv = r.take(self._serving_flat)
         p_tx = self.power.take(self._slot_flat)
-
-        p_los = channel.los_probability(theta.take(self._serving_flat), env)
-        pw_los = channel.received_power(p_tx, r_serv, g, env.alpha_los)
-        pw_nlos = channel.received_power(p_tx, r_serv, k, env.alpha_nlos)
-        p_eff = channel.effective_power(p_los, pw_los, pw_nlos)
+        p_eff = channel.mixed_power(p_tx, r_serv, theta.take(self._serving_flat), g, k, env)
 
         inter_full = self.interferer_power() * k_act * r ** (-env.alpha_nlos)
         interference = (inter_full.sum(axis=2)

@@ -26,9 +26,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import clustering, mobility, seeding
-from .channel import (EnvConstants, FadingField, effective_power, los_probability,
-                      received_power, rician_power_gain, rayleigh_power_gain,
-                      slant_geometry)
+from .channel import (EnvConstants, FadingField, mixed_power, rician_power_gain,
+                      rayleigh_power_gain, slant_geometry)
 from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
 from .learn import (Dqn, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
@@ -180,8 +179,7 @@ class RunSummary:
 
 def _grid_for(cfg: ExperimentConfig, seed: int) -> GridWorld:
     grid = GridWorld(width=cfg.grid_width, height=cfg.grid_height,
-                     cell_size_m=cfg.cell_size_m, attraction_prob=cfg.attraction_prob,
-                     frames=cfg.frames)
+                     cell_size_m=cfg.cell_size_m, attraction_prob=cfg.attraction_prob)
     points = cfg.attraction_points
     if points is None:
         points = mobility.draw_attraction_points(seed, grid, cfg.n_attraction_points)
@@ -318,7 +316,6 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
     summary = RunSummary(method=method, seed=seed, r_th=float(env_cfg.r_th),
                          config_hash=config_hash(cfg, {"seed": seed, "method": method}))
     total_steps = cfg.frames * schedule.episodes * schedule.steps_per_episode
-    altitude_init = (env_cfg.h_min + env_cfg.h_max) / 2.0
 
     def sink(world, episode, timestep):
         """metrics.csv rows, one per active UAV: served_count is the episode's
@@ -331,9 +328,7 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
             out["metrics"].row(world.frame, episode, timestep, *row)
 
     for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
-        uav_xyz, active = clustering.place_uavs(plan, altitude_init, env_cfg.k_max)
-        world = FrameWorld(env_cfg, cfg.constants, pts, plan, uav_xyz, active,
-                           fading, frame, field_size)
+        world = FrameWorld(env_cfg, cfg.constants, pts, plan, fading, frame, field_size)
         _write_frame(out, frame, state, pts, plan)
 
         if maddpg is None:
@@ -497,12 +492,7 @@ def oracle_table(cfg: ExperimentConfig, out_path: str | None = None) -> list[dic
     rows = []
     for d in range(0, 3001, 250):
         r, theta = slant_geometry(float(d), h)
-        p_los = los_probability(theta, consts)
-        p_eff = effective_power(
-            p_los,
-            received_power(p_tx, r, 1.0, consts.alpha_los),
-            received_power(p_tx, r, 1.0, consts.alpha_nlos),
-        )
+        p_eff = mixed_power(p_tx, r, theta, 1.0, 1.0, consts)
         oracle = oracle_min_blocks(p_eff, 0.0, consts.noise_power, env_cfg.r_th,
                                    env_cfg.block_size, env_cfg.block_limit)
         rows.append({
@@ -546,12 +536,7 @@ def sample_static_link(rng: np.random.Generator, env_cfg: EnvConfig,
         g = rician_power_gain(rng, consts.rician_k_db)
         k = rayleigh_power_gain(rng)
         r, theta = slant_geometry(d, h)
-        p_los = los_probability(theta, consts)
-        p_eff = effective_power(
-            p_los,
-            received_power(p_tx, r, g, consts.alpha_los),
-            received_power(p_tx, r, k, consts.alpha_nlos),
-        )
+        p_eff = mixed_power(p_tx, r, theta, g, k, consts)
         per_block = env_cfg.block_size * np.log2(1.0 + p_eff / consts.noise_power)
         if per_block <= 0.0:
             continue
@@ -578,9 +563,8 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
         per_block = sample_static_link(link_rng, env_cfg, consts)
         oracle_n = math.ceil(env_cfg.r_th / per_block)
         dqn = Dqn(zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng), schedule.dqn_lr)
-        buf_cap = min(schedule.buffer_capacity, total)
-        buffer = ReplayBuffer(buf_cap, {"state": 2, "action": 1, "reward": 1,
-                                        "next_state": 2, "done": 1})
+        buffer = ReplayBuffer(schedule.replay_capacity, {"state": 2, "action": 1, "reward": 1,
+                                                         "next_state": 2, "done": 1})
         search_steps = []
         gstep = 0
         for _ in range(schedule.episodes):

@@ -72,6 +72,11 @@ class TrainSchedule:
         if self.dqn_update_interval <= 0:
             self.dqn_update_interval = self.update_interval
 
+    @property
+    def replay_capacity(self) -> int:
+        """Ring size of a replay cleared every frame: one frame's transitions bound it."""
+        return min(self.buffer_capacity, self.episodes * self.steps_per_episode)
+
     def sigma_at(self, step: int, total_steps: int) -> float:
         return _anneal(step, total_steps, self.sigma_start, self.sigma_end, self.sigma_frac)
 
@@ -223,9 +228,7 @@ class MaddpgLearner:
             self.critic_targets.append(critic.clone())
             self.actor_opts.append(Adam(actor.flat, schedule.lr))
             self.critic_opts.append(Adam(critic.flat, schedule.lr))
-        # Buffers are cleared at frame boundaries, so one frame bounds the size.
-        cap = min(schedule.buffer_capacity, schedule.episodes * schedule.steps_per_episode)
-        self.buffer = ReplayBuffer(cap, {
+        self.buffer = ReplayBuffer(schedule.replay_capacity, {
             "obs": cfg.k_max * cfg.obs_dim,
             "act": cfg.k_max * self.act_dim,
             "rew": cfg.k_max,
@@ -396,8 +399,11 @@ class StackedQnets:
         td, grad_out = td_error(q, q_next, batch, gamma)
         grad, _ = backward(weights, acts, grad_out, input_grad=False)
         self.t[idx] += 1
-        b1t = (1.0 - BETA1 ** self.t[idx]).astype(self.dtype)[:, None]
-        b2t = (1.0 - BETA2 ** self.t[idx]).astype(self.dtype)[:, None]
+        # Python's pow, as Adam.step takes it: numpy's vectorized power can
+        # differ from it in the last bit
+        ts = self.t[idx].tolist()
+        b1t = np.array([1.0 - BETA1 ** t for t in ts]).astype(self.dtype)[:, None]
+        b2t = np.array([1.0 - BETA2 ** t for t in ts]).astype(self.dtype)[:, None]
         adam_update(p, grad, m, v, b1t, b2t, self.lr)
         blend(tp, p, tau)
         self.flat[idx], self.t_flat[idx], self.m_flat[idx], self.v_flat[idx] = p, tp, m, v
@@ -420,8 +426,7 @@ class DqnPool:
         # bandwidth-bound; the MADDPG lane stays float64.
         self.stack = StackedQnets(cfg.k_max * cfg.slots, dims, schedule.dqn_lr,
                                   dtype=np.float32)
-        cap = min(schedule.buffer_capacity, schedule.episodes * schedule.steps_per_episode)
-        self.buffer = ReplayBuffer(cap, {
+        self.buffer = ReplayBuffer(schedule.replay_capacity, {
             "state": cfg.dqn_obs_dim, "action": 1, "reward": 1,
             "next_state": cfg.dqn_obs_dim, "done": 1,
         }, rows=cfg.n_ues)
@@ -551,8 +556,7 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
     return records
 
 
-def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,
-                          eval_steps: int | None = None) -> int:
+def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule, eval_steps: int) -> int:
     """Committed coverage of the fixed equal allocation at mid altitude.
 
     The allocation never changes, so one held evaluation scores every step
@@ -561,9 +565,8 @@ def evaluate_frame_static(world: FrameWorld, schedule: TrainSchedule,
     a learned method's last training episode, keeping the comparison paired
     draw for draw.
     """
-    T = eval_steps if eval_steps is not None else schedule.steps_per_episode
     world.reset_episode(equal_blocks=True)
-    world.evaluate(schedule.episodes - 1, np.arange(T))
+    world.evaluate(schedule.episodes - 1, np.arange(eval_steps))
     return world.committed_total()
 
 

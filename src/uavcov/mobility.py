@@ -32,7 +32,6 @@ class GridWorld:
     cell_size_m: float = 300.0
     attraction_points: list[tuple[int, int]] = field(default_factory=list)
     attraction_prob: float = 0.4
-    frames: int = 10
 
     def __post_init__(self):
         if not 0.0 <= self.attraction_prob <= 1.0:
@@ -48,10 +47,6 @@ class GridWorld:
 @dataclass
 class UeState:
     positions: np.ndarray  # (n, 2) int grid coordinates, pairwise distinct
-
-    @property
-    def n(self) -> int:
-        return self.positions.shape[0]
 
 
 def draw_attraction_points(master_seed: int, grid: GridWorld, count: int) -> list[tuple[int, int]]:

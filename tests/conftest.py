@@ -35,9 +35,9 @@ def run_cli(*args) -> subprocess.CompletedProcess:
 def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, uavs=None, **env_kw):
     """FrameWorld over explicit UE positions and cluster assignment.
 
-    UAVs default to cluster centroids at mid altitude; cluster c is served by
-    UAV uavs[c], by default UAV c. Field size is the standard 100x100 grid at
-    300 m cells.
+    The plan's centroids are the cluster means unless uav_xy gives them, so
+    UAVs hover over them at mid altitude; cluster c is served by UAV uavs[c],
+    by default UAV c. Field size is the standard 100x100 grid at 300 m cells.
     """
     pts = np.asarray(ue_xy_m, dtype=float)
     labels = np.asarray(assignment, dtype=np.int64)
@@ -45,19 +45,14 @@ def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, uavs=None, **
     env_kw.setdefault("n_ues", pts.shape[0])
     cfg = EnvConfig(**env_kw)
     constants = EnvConstants()
-    centroids = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
-    uavs = list(range(k)) if uavs is None else list(uavs)
-    plan = ClusterPlan(k_star=k, assignment=labels, centroids=centroids,
-                       silhouette_mean=0.0, active_uavs=uavs)
-    mid = (cfg.h_min + cfg.h_max) / 2.0
-    xyz = np.zeros((cfg.k_max, 3))
-    active = np.zeros(cfg.k_max, dtype=bool)
-    for c, j in enumerate(uavs):
-        xy = centroids[c] if uav_xy is None else np.asarray(uav_xy)[c]
-        xyz[j] = [xy[0], xy[1], mid]
-        active[j] = True
+    if uav_xy is None:
+        centroids = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
+    else:
+        centroids = np.asarray(uav_xy, dtype=float)
+    plan = ClusterPlan(k_star=k, assignment=labels, centroids=centroids, silhouette_mean=0.0,
+                       active_uavs=list(range(k)) if uavs is None else list(uavs))
     fading = FadingField(seed, constants, cfg.n_ues, cfg.k_max)
-    return FrameWorld(cfg, constants, pts, plan, xyz, active, fading, frame,
+    return FrameWorld(cfg, constants, pts, plan, fading, frame,
                       field_size_m=(99 * 300.0, 99 * 300.0))
 
 

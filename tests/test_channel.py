@@ -310,3 +310,14 @@ def test_vectorized_matches_scalar():
             assert d[i, j] == pytest.approx(g.d, rel=1e-12, abs=1e-12)
             assert r[i, j] == pytest.approx(g.r, rel=1e-12)
             assert theta[i, j] == pytest.approx(g.theta, rel=1e-12)
+    # the mixed link power equals its scalar pieces composed, bit for bit
+    p_tx = rng.uniform(0.1, 1.0, (8, 3))
+    g_los, g_nlos = rng.exponential(1.0, (2, 8, 3))
+    mixed = channel.mixed_power(p_tx, r, theta, g_los, g_nlos, ENV)
+    for i in range(8):
+        for j in range(3):
+            p = float(p_tx[i, j])
+            assert mixed[i, j] == effective_power(
+                los_probability(float(theta[i, j]), ENV),
+                received_power(p, float(r[i, j]), float(g_los[i, j]), ENV.alpha_los),
+                received_power(p, float(r[i, j]), float(g_nlos[i, j]), ENV.alpha_nlos))

@@ -13,7 +13,7 @@ import pytest
 
 from uavcov import clustering, experiment, seeding
 from uavcov.clustering import (KMEANS_RESTARTS, MAX_LLOYD_ITERATIONS, ClusterPlan,
-                               kmeans, match_to_previous, place_uavs, select_k,
+                               kmeans, match_to_previous, select_k,
                                silhouette_samples)
 from uavcov.config import build_config
 
@@ -342,20 +342,6 @@ def test_select_k_is_argmax_over_candidates():
         labels, _, _ = kmeans(pts, k, np.random.default_rng(999))
         s_k = silhouette_samples(pts, labels).mean()
         assert plan.silhouette_mean >= s_k - 1e-9
-
-
-def test_place_uavs_and_sleep():
-    plan = ClusterPlan(
-        k_star=2,
-        assignment=np.array([0, 0, 1]),
-        centroids=np.array([[300.0, 600.0], [900.0, 0.0]]),
-        silhouette_mean=0.5,
-        active_uavs=[0, 1],
-    )
-    xyz, active = place_uavs(plan, 650.0, 5)
-    assert active.sum() == 2 and (~active).sum() == 3
-    assert tuple(xyz[0]) == (300.0, 600.0, 650.0)
-    assert tuple(xyz[1]) == (900.0, 0.0, 650.0)
 
 
 def test_match_to_previous_keeps_identity():

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from uavcov.channel import EnvConstants, effective_power, los_probability, received_power
-from uavcov.env import EnvConfig, map_altitude, masked_softmax
+from uavcov.channel import (EnvConstants, FadingField, effective_power, los_probability,
+                            received_power)
+from uavcov.clustering import ClusterPlan
+from uavcov.env import EnvConfig, FrameWorld, map_altitude, masked_softmax
 from uavcov.experiment import oracle_min_blocks
 
 from conftest import build_world
@@ -74,6 +76,24 @@ def test_env_config_validates():
     assert cfg.max_cluster_size == cfg.n_ues
     assert cfg.obs_dim == 2 * cfg.n_ues + 3
     assert cfg.dqn_obs_dim == cfg.obs_dim + 4
+
+
+def test_frame_world_places_uavs_over_their_centroids():
+    # UAV active_uavs[c] hovers over centroid c at mid altitude; the others park at 0
+    plan = ClusterPlan(k_star=2, assignment=np.array([0, 0, 1]),
+                       centroids=np.array([[300.0, 600.0], [900.0, 0.0]]),
+                       silhouette_mean=0.5, active_uavs=[3, 1])
+    cfg = EnvConfig(n_ues=3, k_max=5)
+    world = FrameWorld(cfg, CONSTS, [[0.0, 600.0], [600.0, 600.0], [900.0, 0.0]], plan,
+                       FadingField(0, CONSTS, 3, 5), 0, (99 * 300.0, 99 * 300.0))
+    assert world.active_idx == [1, 3]
+    assert world.xy[3].tolist() == [300.0, 600.0]
+    assert world.xy[1].tolist() == [900.0, 0.0]
+    assert world.h[[1, 3]].tolist() == [650.0, 650.0]
+    for j in (0, 2, 4):
+        assert world.xy[j].tolist() == [0.0, 0.0] and world.h[j] == 0.0
+        assert not world.mask[j].any()
+    assert world.slot_ues[3, :2].tolist() == [0, 1] and world.slot_ues[1, 0] == 2
 
 
 def test_block_action_clamps(world_factory):

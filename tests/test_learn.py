@@ -274,7 +274,7 @@ def test_train_frame_smoke_and_determinism():
 def test_evaluate_frame_static_keeps_reset_allocation():
     world = two_ue_world(seed=11)
     sch = small_schedule(episodes=2, steps_per_episode=5)
-    served = evaluate_frame_static(world, sch)
+    served = evaluate_frame_static(world, sch, sch.steps_per_episode)
     assert world.h[0] == pytest.approx(650.0)
     assert np.allclose(world.power[0, :2], 0.5)
     assert world.blocks[0, :2].tolist() == [100, 100]
@@ -339,7 +339,7 @@ def test_stacked_qnets_match_single_nets():
     q_stack = stack.q_values(idx, x)
     for r, ent in enumerate(singles):
         assert np.array_equal(q_stack[r], ent["net"].forward(x[r]))
-    for _ in range(3):
+    for _ in range(12):
         stack.update(idx, batch, sch.gamma, sch.tau)
         for r, ent in enumerate(singles):
             single_batch = {k: v[r] for k, v in batch.items()}

@@ -42,13 +42,8 @@ def build(n_ues, k_max, labels, uavs, max_cluster_size, seed) -> FrameWorld:
     centroids = np.array([pts[labels == c].mean(axis=0) for c in range(k)])
     plan = ClusterPlan(k_star=k, assignment=labels, centroids=centroids,
                        silhouette_mean=0.0, active_uavs=uavs)
-    xyz = np.zeros((k_max, 3))
-    active = np.zeros(k_max, dtype=bool)
-    for c, j in enumerate(uavs):
-        xyz[j] = [*centroids[c], (cfg.h_min + cfg.h_max) / 2.0]
-        active[j] = True
     fading = FadingField(seed, EnvConstants(), n_ues, k_max)
-    return FrameWorld(cfg, EnvConstants(), pts, plan, xyz, active, fading, 0, (FIELD_M, FIELD_M))
+    return FrameWorld(cfg, EnvConstants(), pts, plan, fading, 0, (FIELD_M, FIELD_M))
 
 
 logit = st.floats(-30.0, 30.0, allow_nan=False)

@@ -6,13 +6,18 @@ benchmark runs, so this test installs the recorder around a tiny flare run.
 The recorder's counts also pin that a static frame is one evaluate call over
 its whole horizon, with one fading draw per step, that the silhouette runs
 under its wrapped name, and that a flare run allocates its replay once, not
-per slot or per frame.
+per slot or per frame. A tiny panel of every kind of benchmark operation
+reads every span metric above zero, so a wrapped name that silently drops
+off the program path fails here rather than reading 0 in a report.
 """
 
 import importlib.util
 import os
 
 from uavcov import clustering, experiment, learn
+from uavcov.channel import EnvConstants
+from uavcov.env import EnvConfig
+from uavcov.learn import TrainSchedule
 
 from test_harness import tiny_config
 
@@ -80,3 +85,24 @@ def test_flare_allocates_its_replay_once_per_run(tmp_path):
     dqn_dim = env.n_ues * (2 * env.dqn_obs_dim + 3)
     metrics = traced_metrics(cfg, "flare", str(tmp_path / "run"))
     assert metrics["learn.replay_buffer_bytes"] == 4 * cap * (maddpg_dim + dqn_dim)
+
+
+def test_every_span_metric_reads_above_zero_on_a_tiny_panel(tmp_path):
+    # flare, maddpg_only, static, simulate and a 1-link block search, all traced
+    cfg = tiny_config()
+    schedule = TrainSchedule(episodes=4, steps_per_episode=30, batch_size=8,
+                             buffer_capacity=120, warmup_transitions=16, update_interval=1,
+                             hidden=(8, 8), lr=1e-3)
+    recorder = load_spans().SpanRecorder()
+    try:
+        recorder.install()
+        for method in ("flare", "maddpg_only", "static"):
+            experiment.run_single(cfg, method, 1, str(tmp_path / method), quiet=True)
+        experiment.run_simulation(cfg, 1, str(tmp_path / "simulate"))
+        experiment.block_search_benchmark(1, EnvConfig(), EnvConstants(), schedule, 3030)
+    finally:
+        recorder.uninstall()
+    metrics = recorder.layer_metrics(1)
+    # select_k batches its k-means restarts without calling clustering.kmeans
+    exempt = {"clustering.kmeans_calls"}
+    assert [name for name, value in metrics.items() if value <= 0 and name not in exempt] == []
