@@ -92,11 +92,11 @@ def main(argv=None) -> int:
 
     if args.command == "evaluate":
         comparison = experiment.run_experiment(
-            cfg, methods=["flare", "maddpg_only", "static"])
+            cfg, methods=["flare", "maddpg_only", "static"], checkpoint=args.checkpoint)
         for method, stats in comparison["methods"].items():
             print(f"{method}: mean served {stats['mean_served']:.2f}")
-        if "flare_over_maddpg_ratio" in comparison:
-            print(f"flare / maddpg_only ratio: {comparison['flare_over_maddpg_ratio']:.3f}")
+        ratio = comparison["flare_over_maddpg_ratio"]
+        print("flare / maddpg_only ratio: " + ("undefined" if ratio is None else f"{ratio:.3f}"))
         return 0
 
     if args.command == "oracle":

@@ -50,6 +50,7 @@ class ExperimentConfig:
             ("profile", self.profile in PROFILES, ""),
             ("maddpg_bw_mode", self.maddpg_bw_mode in ("equal", "learned"), ""),
             ("frames", self.frames >= 1, " (at least 1)"),
+            ("seeds", len(self.seeds) >= 1, " (at least one)"),
             ("eval_steps", self.eval_steps >= 0, " (0 or more)"),
             ("metrics_interval", self.metrics_interval >= 0, " (0 or more)"),
             ("grid_width", self.grid_width >= 1, " (at least 1)"),

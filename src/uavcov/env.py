@@ -3,18 +3,18 @@
 A FrameWorld is built from a single frame's users and ClusterPlan: the UAV
 serving cluster c hovers over its centroid at mid altitude, and the cluster's
 users fill that UAV's slots. It exposes the per-timestep machinery:
-observation vectors, mapping of raw network outputs onto feasible actions
-(power simplex, altitude interval, block budget), rate/reward evaluation, and
-the serve-and-freeze bookkeeping.
+observation vectors, application of normalized actions onto the altitude
+interval and the power and block budgets, rate/reward evaluation, and the
+serve-and-freeze bookkeeping.
 Evaluation takes one step or a 1-D array of steps over which the allocation
 is held: only the fading differs between those steps, so the geometry, LoS
 probability, interferer powers and audit are computed once for all of them.
 
-Feasibility is enforced by construction: powers come from a masked softmax
-scaled to the budget, altitude from a squashed affine map, block edits are
-clamped to the remaining budget, and UAV horizontal positions are cluster
-centroids of in-field points. Every evaluation additionally audits the
-budget/coverage constraints and counts violations (expected zero).
+Feasibility is enforced by construction: actions arrive as masked-softmax
+budget fractions and an altitude in [0, 1] (learn.squash_raw_actions), block
+edits are clamped to the remaining budget, and UAV horizontal positions are
+cluster centroids of in-field points. Every evaluation additionally audits
+the budget/coverage constraints and counts violations (expected zero).
 """
 
 from dataclasses import dataclass
@@ -75,30 +75,6 @@ class EnvConfig:
 
     def act_dim(self, bw_head: bool = False) -> int:
         return 1 + self.slots + (self.slots if bw_head else 0)
-
-
-def map_altitude(raw: float, h_min: float, h_max: float) -> float:
-    """Squash an unbounded actor output into [h_min, h_max]."""
-    if not np.isfinite(raw):
-        raise ValueError("raw altitude output must be finite")
-    return h_min + (np.tanh(raw) + 1.0) / 2.0 * (h_max - h_min)
-
-
-def masked_softmax(logits, mask) -> np.ndarray:
-    """Softmax over the active entries of the last axis; inactive entries get 0.
-
-    mask selects entries of the last axis and is shared by every leading row;
-    scaled by p_max it is the power split, which sums to the budget.
-    """
-    z = np.asarray(logits, dtype=float)
-    m = np.asarray(mask, dtype=bool)
-    if not np.any(m):
-        raise ValueError("at least one slot must be active")
-    out = np.zeros_like(z)
-    active = z[..., m]
-    active = np.exp(active - active.max(axis=-1, keepdims=True))
-    out[..., m] = active / active.sum(axis=-1, keepdims=True)
-    return out
 
 
 class FrameWorld:
@@ -207,26 +183,23 @@ class FrameWorld:
 
     # ----- action application -----
 
-    def apply_maddpg_action(self, j: int, alt_raw: float, power_logits: np.ndarray,
-                            bw_logits: np.ndarray | None = None) -> np.ndarray:
-        """Map raw actor outputs into feasible altitude/power (and optional blocks).
+    def apply_maddpg_action(self, actions: np.ndarray):
+        """Set the active UAVs' altitude, power and (optional) blocks from normalized actions.
 
-        Returns the normalized action vector stored for the critics:
-        [altitude01, power fractions (, bandwidth fractions)]. The optional
-        bandwidth head shares the masked-softmax mapping; its fractions are
-        quantized down to whole blocks, so the budget holds by construction.
+        actions is (k_max, act_dim): row j is UAV j's [altitude01, power
+        fractions (, bandwidth fractions)], as learn.squash_raw_actions gives
+        them; inactive rows are ignored. The bandwidth fractions are quantized
+        down to whole blocks, so the budget holds by construction.
         """
         cfg = self.cfg
-        h = map_altitude(float(alt_raw), cfg.h_min, cfg.h_max)
-        self.h[j] = h
-        fracs = masked_softmax(power_logits, self.mask[j])
-        self.power[j] = fracs * cfg.p_max
-        alt01 = (h - cfg.h_min) / (cfg.h_max - cfg.h_min)
-        if bw_logits is None:
-            return np.concatenate([[alt01], fracs])
-        bw_fracs = masked_softmax(bw_logits, self.mask[j])
-        self.blocks[j] = np.floor(bw_fracs * cfg.block_limit).astype(np.int64)
-        return np.concatenate([[alt01], fracs, bw_fracs])
+        act, S = self._act, cfg.slots
+        rows = actions[act]
+        if not np.isfinite(rows).all():
+            raise ValueError("actions must be finite")
+        self.h[act] = cfg.h_min + rows[:, 0] * (cfg.h_max - cfg.h_min)
+        self.power[act] = rows[:, 1:1 + S] * cfg.p_max
+        if rows.shape[1] > 1 + S:
+            self.blocks[act] = np.floor(rows[:, 1 + S:] * cfg.block_limit).astype(np.int64)
 
     def apply_block_action(self, j, s, action):
         """Increment/decrement slots' blocks within each UAV's shared budget.

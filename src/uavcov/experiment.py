@@ -30,7 +30,7 @@ from .channel import (EnvConstants, FadingField, mixed_power, rician_power_gain,
                       rayleigh_power_gain, slant_geometry)
 from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
-from .learn import (Dqn, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
+from .learn import (BLOCK_ACTIONS, Dqn, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
                     dqn_select_action, dqn_update, evaluate_frame_static,
                     save_checkpoint, train_frame, zero_head_mlp)
 from .mobility import GridWorld
@@ -92,7 +92,7 @@ def _write_json(path: str, doc: dict):
     """Write through a tmp file, so that path holds the whole document or none."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -138,13 +138,16 @@ def _atomic_dir(out_dir: str):
     shutil.rmtree(old, ignore_errors=True)
 
 
+@contextlib.contextmanager
 def _open_run_dir(out_dir: str, cfg: ExperimentConfig, seed: int, method: str,
-                  stems: list[str]) -> dict[str, CsvWriter]:
-    """Write the new run directory's config.txt, open the named CSVs."""
+                  stems: list[str]):
+    """Write the new run directory's config.txt; yield the named CSVs, closed on every exit."""
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_config(cfg, {"seed": seed, "method": method}))
-    return {stem: CsvWriter(os.path.join(out_dir, f"{stem}.csv"), CSV_COLUMNS[stem])
-            for stem in stems}
+    with contextlib.ExitStack() as stack:
+        yield {stem: stack.enter_context(contextlib.closing(
+                   CsvWriter(os.path.join(out_dir, f"{stem}.csv"), CSV_COLUMNS[stem])))
+               for stem in stems}
 
 
 @dataclass
@@ -310,67 +313,65 @@ def _run_single(cfg: ExperimentConfig, method: str, seed: int,
     if method == "flare":
         dqns = DqnPool(env_cfg, schedule, init_rng)
 
-    stems = ["trajectories", "clusters", "metrics", "rewards"]
-    out = _open_run_dir(out_dir, cfg, seed, method,
-                        stems if dqns is None else stems + ["search_steps"])
     summary = RunSummary(method=method, seed=seed, r_th=float(env_cfg.r_th),
                          config_hash=config_hash(cfg, {"seed": seed, "method": method}))
-    total_steps = cfg.frames * schedule.episodes * schedule.steps_per_episode
+    frame_steps = schedule.episodes * schedule.steps_per_episode
+    stems = ["trajectories", "clusters", "metrics", "rewards"]
+    with _open_run_dir(out_dir, cfg, seed, method,
+                       stems if dqns is None else stems + ["search_steps"]) as out:
 
-    def sink(world, episode, timestep):
-        """metrics.csv rows, one per active UAV: served_count is the episode's
-        committed coverage, reward the served count at the logged step."""
-        if cfg.metrics_interval > 0 and episode % cfg.metrics_interval != 0:
-            return
-        act = world.active_idx
-        for row in zip(act, world.frozen[act].sum(axis=1), world.served[act].sum(axis=1),
-                       world.power[act].sum(axis=1), world.blocks[act].sum(axis=1)):
-            out["metrics"].row(world.frame, episode, timestep, *row)
+        def sink(world, episode, timestep):
+            """metrics.csv rows, one per active UAV: served_count is the episode's
+            committed coverage, reward the served count at the logged step."""
+            if cfg.metrics_interval > 0 and episode % cfg.metrics_interval != 0:
+                return
+            act = world.active_idx
+            for row in zip(act, world.frozen[act].sum(axis=1), world.served[act].sum(axis=1),
+                           world.power[act].sum(axis=1), world.blocks[act].sum(axis=1)):
+                out["metrics"].row(world.frame, episode, timestep, *row)
 
-    for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
-        world = FrameWorld(env_cfg, cfg.constants, pts, plan, fading, frame, field_size)
-        _write_frame(out, frame, state, pts, plan)
+        for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
+            world = FrameWorld(env_cfg, cfg.constants, pts, plan, fading, frame, field_size)
+            _write_frame(out, frame, state, pts, plan)
 
-        if maddpg is None:
-            eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
-            served = evaluate_frame_static(world, schedule, eval_steps)
-            sink(world, 0, eval_steps - 1)
-        else:
-            maddpg.buffer.clear()
-            if dqns is not None:
-                dqns.buffer.clear()
-            records = train_frame(world, maddpg, dqns, schedule, expl_rng,
-                                  step_offset=frame * schedule.episodes * schedule.steps_per_episode,
-                                  total_steps=total_steps, metrics_sink=sink)
-            for rec in records:
-                summary.episode_rewards.append(rec.mean_reward)
-                out["rewards"].row(frame, rec.episode, rec.mean_reward)
+            if maddpg is None:
+                eval_steps = cfg.eval_steps if cfg.eval_steps > 0 else schedule.steps_per_episode
+                served = evaluate_frame_static(world, schedule, eval_steps)
+                sink(world, 0, eval_steps - 1)
+            else:
+                maddpg.buffer.clear()
                 if dqns is not None:
-                    summary.episode_search_steps.append(rec.mean_search_steps)
-                    out["search_steps"].row(frame, rec.episode, rec.mean_search_steps)
-            # the frame's coverage: committed count averaged over the closing
-            # episodes of the search (one episode is a noisy sample of it)
-            served = np.mean([r.committed for r in records[-5:]])
+                    dqns.buffer.clear()
+                records = train_frame(world, maddpg, dqns, schedule, expl_rng,
+                                      step_offset=frame * frame_steps,
+                                      total_steps=cfg.frames * frame_steps, metrics_sink=sink)
+                for rec in records:
+                    summary.episode_rewards.append(rec.mean_reward)
+                    out["rewards"].row(frame, rec.episode, rec.mean_reward)
+                    if dqns is not None:
+                        summary.episode_search_steps.append(rec.mean_search_steps)
+                        out["search_steps"].row(frame, rec.episode, rec.mean_search_steps)
+                # the frame's coverage: committed count averaged over the closing
+                # episodes of the search (one episode is a noisy sample of it)
+                served = np.mean([r.committed for r in records[-5:]])
 
-        for c in summary.audit:
-            summary.audit[c] += world.audit[c]
-        act = world.active_idx
-        summary.frames.append({
-            "frame": frame,
-            "k_star": int(plan.k_star),
-            "mean_silhouette": float(plan.silhouette_mean),
-            "served_total": float(served),
-            "served_per_uav": world.committed_per_agent(),
-            "sum_power_w": sum(float(p) for p in world.power[act].sum(axis=1)),
-            "sum_blocks": int(world.blocks.sum()),
-            "method": method,
-        })
+            for c in summary.audit:
+                summary.audit[c] += world.audit[c]
+            act = world.active_idx
+            summary.frames.append({
+                "frame": frame,
+                "k_star": int(plan.k_star),
+                "mean_silhouette": float(plan.silhouette_mean),
+                "served_total": float(served),
+                "served_per_uav": world.committed_per_agent(),
+                "sum_power_w": sum(float(p) for p in world.power[act].sum(axis=1)),
+                "sum_blocks": int(world.blocks.sum()),
+                "method": method,
+            })
 
-    if checkpoint and maddpg is not None:
-        save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), maddpg, dqns,
-                        {"frames_completed": cfg.frames})
-    for w in out.values():
-        w.close()
+        if checkpoint and maddpg is not None:
+            save_checkpoint(os.path.join(out_dir, "checkpoint.bin"), maddpg, dqns,
+                            {"frames_completed": cfg.frames})
     summary.write(os.path.join(out_dir, "summary.json"))
     return summary
 
@@ -458,7 +459,8 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
     if "flare" in results and "maddpg_only" in results:
         base = comparison["methods"]["maddpg_only"]["mean_served"]
         ours = comparison["methods"]["flare"]["mean_served"]
-        comparison["flare_over_maddpg_ratio"] = float(ours / base) if base > 0 else math.inf
+        # undefined (null) when maddpg_only serves nobody
+        comparison["flare_over_maddpg_ratio"] = float(ours / base) if base > 0 else None
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_json(os.path.join(cfg.out_dir, "comparison.json"), comparison)
     return comparison
@@ -469,12 +471,10 @@ def run_experiment(cfg: ExperimentConfig, methods: list[str] | None = None,
 def run_simulation(cfg: ExperimentConfig, seed: int, out_dir: str):
     """Mobility and clustering streams only (no radio, no learning)."""
     grid = _grid_for(cfg, seed)
-    with _atomic_dir(out_dir) as partial:
-        out = _open_run_dir(partial, cfg, seed, "simulate", ["trajectories", "clusters"])
+    with (_atomic_dir(out_dir) as partial,
+          _open_run_dir(partial, cfg, seed, "simulate", ["trajectories", "clusters"]) as out):
         for frame, (state, pts, plan) in enumerate(_frames(cfg, seed, grid)):
             _write_frame(out, frame, state, pts, plan)
-        for w in out.values():
-            w.close()
 
 
 # ----- oracle table -----
@@ -546,8 +546,7 @@ def sample_static_link(rng: np.random.Generator, env_cfg: EnvConfig,
 
 
 def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstants,
-                           schedule: TrainSchedule, master_seed: int,
-                           quiet: bool = True) -> list[LinkOutcome]:
+                           schedule: TrainSchedule, master_seed: int) -> list[LinkOutcome]:
     """Train one DQN per randomized static link and compare to the oracle.
 
     State is [blocks/limit, served]; reward 1 on meeting the threshold, at
@@ -557,9 +556,13 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
     link_rng = seeding.sequential_stream(master_seed, "benchmark-links")
     expl_rng = seeding.sequential_stream(master_seed, "benchmark-expl")
     init_rng = seeding.sequential_stream(master_seed, "benchmark-init")
+
+    def move(blocks: int, a_idx: int) -> int:
+        return min(max(blocks + BLOCK_ACTIONS[a_idx], 0), env_cfg.block_limit)
+
     outcomes = []
     total = schedule.episodes * schedule.steps_per_episode
-    for li in range(n_links):
+    for _ in range(n_links):
         per_block = sample_static_link(link_rng, env_cfg, consts)
         oracle_n = math.ceil(env_cfg.r_th / per_block)
         dqn = Dqn(zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng), schedule.dqn_lr)
@@ -575,7 +578,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
                 eps = schedule.eps_at(gstep, total)
                 state = np.array([blocks / env_cfg.block_limit, 0.0])
                 a_idx = dqn_select_action(dqn.net, state, eps, expl_rng)
-                blocks = min(max(blocks + (1 if a_idx == 0 else -1), 0), env_cfg.block_limit)
+                blocks = move(blocks, a_idx)
                 rate = blocks * per_block
                 served = rate >= env_cfg.r_th
                 done = served or t == schedule.steps_per_episode - 1
@@ -595,15 +598,10 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
         frozen = None
         for _ in range(schedule.steps_per_episode):
             state = np.array([blocks / env_cfg.block_limit, 0.0])
-            a_idx = int(np.argmax(dqn.net.forward(state)))
-            blocks = min(max(blocks + (1 if a_idx == 0 else -1), 0), env_cfg.block_limit)
+            blocks = move(blocks, dqn_select_action(dqn.net, state, 0.0, None))
             if blocks * per_block >= env_cfg.r_th:
                 frozen = blocks
                 break
         outcomes.append(LinkOutcome(oracle_blocks=oracle_n, frozen_blocks=frozen,
                                     search_steps=search_steps))
-        if not quiet:
-            print(f"link {li}: oracle={oracle_n} frozen={frozen} "
-                  f"first10={np.mean(search_steps[:10]):.1f} "
-                  f"last10={np.mean(search_steps[-10:]):.1f}")
     return outcomes

@@ -2,14 +2,15 @@
 
 Actor-critic agents (one per UAV slot) emit altitude and a power split every
 timestep; one small Q-network per (UAV, user slot) walks that user's resource
-blocks up or down. Critics are centralized by default: they see the
-concatenated observations and normalized actions of every UAV slot, inactive
-slots zero-masked. All gradients are computed manually through the nn core,
-including the tanh/softmax squashing between actor outputs and the actions
-the critics see. Parameters, targets and Adam moments are flat vectors (one
-(rows, P) matrix for a stack of Q-nets) in the nn layout, so each optimizer
-step and soft update is one call per net, and checkpoints name per-layer
-views of them.
+blocks up or down. squash_raw_actions, the policy head, is the one map from
+actor outputs to the normalized actions the world applies and the critics
+see. Critics are centralized by default: they see the concatenated
+observations and normalized actions of every UAV slot, inactive slots
+zero-masked. All gradients, the policy head's included, are computed manually
+through the nn core. Parameters, targets and Adam moments are flat vectors
+(one (rows, P) matrix for a stack of Q-nets) in the nn layout, so each
+optimizer step and soft update is one call per net, and checkpoints name
+per-layer views of them.
 
 Within one frame the world is quasi-static: buffers hold only current-frame
 transitions, while network weights persist across frames (warm start).
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvConfig, FrameWorld, masked_softmax
+from .env import EnvConfig, FrameWorld
 from .nn import (BETA1, BETA2, Adam, Mlp, adam_update, backward, blend, forward, layer_views,
                  param_count, param_views, soft_update)
 
@@ -154,31 +155,44 @@ class ReplayBuffer:
             self._size, self._head = np.zeros((2, self.rows), dtype=np.int64)
 
 
-# ----- action squashing (shared by action selection and the actor update) -----
+# ----- the policy head: actor outputs -> normalized actions -----
 
-def squash_raw_actions(raw: np.ndarray, mask: np.ndarray, slots: int, bw_head: bool) -> np.ndarray:
-    """Raw actor outputs -> normalized bounded actions [alt01, power fracs(, bw fracs)]."""
-    alt01 = (np.tanh(raw[:, 0]) + 1.0) / 2.0
-    parts = [alt01[:, None], masked_softmax(raw[:, 1:1 + slots], mask)]
-    if bw_head:
-        parts.append(masked_softmax(raw[:, 1 + slots:1 + 2 * slots], mask))
-    return np.concatenate(parts, axis=1)
+def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Softmax over the active entries of the last axis; inactive entries get 0.
+
+    mask selects entries of the last axis and is shared by every leading row;
+    scaled by p_max it is the power split, which sums to the budget.
+    """
+    if not mask.any():
+        raise ValueError("at least one slot must be active")
+    out = np.zeros_like(logits)
+    active = logits[..., mask]
+    active = np.exp(active - active.max(axis=-1, keepdims=True))
+    out[..., mask] = active / active.sum(axis=-1, keepdims=True)
+    return out
+
+
+def squash_raw_actions(raw: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Actor outputs (..., act_dim) -> normalized actions [alt01, power fracs(, bw fracs)].
+
+    tanh squashes the altitude; each later head of S = len(mask) outputs is a
+    masked softmax, and a 1 + 2S wide raw carries the bandwidth head.
+    """
+    S = len(mask)
+    heads = [masked_softmax(raw[..., lo:lo + S], mask) for lo in range(1, raw.shape[-1], S)]
+    return np.concatenate([(np.tanh(raw[..., :1]) + 1.0) / 2.0, *heads], axis=-1)
 
 
 def squash_gradient(raw: np.ndarray, squashed: np.ndarray, grad_sq: np.ndarray,
-                    mask: np.ndarray, slots: int, bw_head: bool) -> np.ndarray:
+                    mask: np.ndarray) -> np.ndarray:
     """Chain d(loss)/d(squashed action) back to the raw actor outputs."""
+    S = len(mask)
     grad_raw = np.zeros_like(raw)
-    th = np.tanh(raw[:, 0])
-    grad_raw[:, 0] = grad_sq[:, 0] * (1.0 - th * th) / 2.0
-    for seg in range(2 if bw_head else 1):
-        lo = 1 + seg * slots
-        f = squashed[:, lo:lo + slots]
-        g = grad_sq[:, lo:lo + slots]
-        inner = (g * f).sum(axis=1, keepdims=True)
-        gz = f * (g - inner)
-        gz[:, ~mask] = 0.0
-        grad_raw[:, lo:lo + slots] = gz
+    th = np.tanh(raw[..., 0])
+    grad_raw[..., 0] = grad_sq[..., 0] * (1.0 - th * th) / 2.0
+    for lo in range(1, raw.shape[-1], S):   # softmax heads: f * (g - <g, f>) on active slots
+        f, g = squashed[..., lo:lo + S], grad_sq[..., lo:lo + S]
+        grad_raw[..., lo:lo + S] = np.where(mask, f * (g - (g * f).sum(-1, keepdims=True)), 0.0)
     return grad_raw
 
 
@@ -210,7 +224,6 @@ class MaddpgLearner:
                  init_rng: np.random.Generator, bw_head: bool = False):
         self.cfg = cfg
         self.schedule = schedule
-        self.bw_head = bw_head
         self.act_dim = cfg.act_dim(bw_head)
         if schedule.critic_mode == "central":
             critic_in = cfg.k_max * (cfg.obs_dim + self.act_dim)
@@ -262,7 +275,7 @@ class MaddpgLearner:
             obs_m = next_obs[:, m * cfg.obs_dim:(m + 1) * cfg.obs_dim]
             raw = self.actor_targets[m].forward(obs_m)
             acts[:, m * self.act_dim:(m + 1) * self.act_dim] = squash_raw_actions(
-                raw, world.mask[m], cfg.slots, self.bw_head)
+                raw, world.mask[m])
         return acts
 
     def update(self, world: FrameWorld, rng: np.random.Generator) -> dict[int, tuple[float, float]]:
@@ -294,7 +307,7 @@ class MaddpgLearner:
             obs_j = obs[:, j * cfg.obs_dim:(j + 1) * cfg.obs_dim]
             raw, actor_cache = self.actors[j].forward_cached(obs_j)
             mask = world.mask[j]
-            squashed = squash_raw_actions(raw, mask, cfg.slots, self.bw_head)
+            squashed = squash_raw_actions(raw, mask)
             acts_new = acts.copy()
             acts_new[:, j * self.act_dim:(j + 1) * self.act_dim] = squashed
             q_in = self._critic_input(obs, acts_new, j)
@@ -306,7 +319,7 @@ class MaddpgLearner:
             else:
                 lo = cfg.obs_dim
             grad_sq = grad_in[:, lo:lo + self.act_dim]
-            grad_raw = squash_gradient(raw, squashed, grad_sq, mask, cfg.slots, self.bw_head)
+            grad_raw = squash_gradient(raw, squashed, grad_sq, mask)
             a_grad, _ = self.actors[j].backward(actor_cache, grad_raw, input_grad=False)
             self.actor_opts[j].step(a_grad)
             actor_loss = float(-np.mean(q2))
@@ -512,8 +525,8 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
             joint_act = np.zeros((cfg.k_max, maddpg.act_dim))
             for j in world.active_idx:
                 raw = maddpg_select_action(maddpg.actors[j], obs[j], sigma, expl_rng)
-                bw = raw[1 + S:1 + 2 * S] if maddpg.bw_head else None
-                joint_act[j] = world.apply_maddpg_action(j, raw[0], raw[1:1 + S], bw)
+                joint_act[j] = squash_raw_actions(raw, world.mask[j])
+            world.apply_maddpg_action(joint_act)
 
             if use_dqn:
                 js, ss = np.nonzero(world.mask & ~world.frozen)

@@ -11,6 +11,7 @@ import uavcov
 from uavcov.channel import EnvConstants, FadingField
 from uavcov.clustering import ClusterPlan
 from uavcov.env import EnvConfig, FrameWorld
+from uavcov.learn import squash_raw_actions
 
 # "[acceptance] ... PASS/FAIL" detail lines, one per acceptance criterion run.
 ACCEPTANCE_LINES: list[str] = []
@@ -54,6 +55,20 @@ def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, uavs=None, **
     fading = FadingField(seed, constants, cfg.n_ues, cfg.k_max)
     return FrameWorld(cfg, constants, pts, plan, fading, frame,
                       field_size_m=(99 * 300.0, 99 * 300.0))
+
+
+def apply_raw(world: FrameWorld, raw) -> np.ndarray:
+    """Apply raw actor outputs, one row per UAV, through the policy head in one call.
+
+    Each active UAV's row is squashed under its slot mask, as train_frame
+    does; returns the normalized actions the world applied.
+    """
+    raw = np.asarray(raw, dtype=float)
+    actions = np.zeros_like(raw)
+    for j in world.active_idx:
+        actions[j] = squash_raw_actions(raw[j], world.mask[j])
+    world.apply_maddpg_action(actions)
+    return actions
 
 
 @pytest.fixture

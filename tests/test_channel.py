@@ -11,7 +11,7 @@ from uavcov.channel import (EnvConstants, FadingField, achievable_rate,
                             received_power, rayleigh_power_gain, rician_power_gain)
 from uavcov.env import EnvConfig
 
-from conftest import build_world
+from conftest import apply_raw, build_world
 
 ENV = EnvConstants()
 
@@ -187,8 +187,7 @@ def test_interference_additivity():
         labels = [0, 0, 0, 1, 1, 1, 2, 2, 2]
         world = stub_world(pts, labels, rng.uniform(0.1, 3.0, (9, 5)),
                            rng.uniform(0.1, 3.0, (9, 5)), p_avg_mode=mode)
-        for j in world.active_idx:
-            world.apply_maddpg_action(j, rng.normal(), rng.normal(0.0, 2.0, world.cfg.slots))
+        apply_raw(world, rng.normal(0.0, 2.0, (world.cfg.k_max, 1 + world.cfg.slots)))
         p_avg = world.interferer_power()
         if mode == "budget":
             assert p_avg == pytest.approx([1 / 3] * 3, rel=1e-12)

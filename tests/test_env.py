@@ -6,26 +6,40 @@ import pytest
 from uavcov.channel import (EnvConstants, FadingField, effective_power, los_probability,
                             received_power)
 from uavcov.clustering import ClusterPlan
-from uavcov.env import EnvConfig, FrameWorld, map_altitude, masked_softmax
+from uavcov.env import EnvConfig, FrameWorld
 from uavcov.experiment import oracle_min_blocks
+from uavcov.learn import masked_softmax
 
-from conftest import build_world
+from conftest import apply_raw, build_world
 
 CONSTS = EnvConstants()
 
 
-def test_map_altitude_examples():
-    assert map_altitude(0.0, 300.0, 1000.0) == pytest.approx(650.0)
-    assert map_altitude(50.0, 300.0, 1000.0) == pytest.approx(1000.0)
-    assert map_altitude(np.arctanh(0.5), 300.0, 1000.0) == pytest.approx(825.0, rel=1e-12)
+def altitude_of(raw_alt: float, power_logits=(0.0, 0.0)) -> float:
+    """Altitude a one-UAV world flies at after applying the raw outputs [raw_alt, logits]."""
+    world = build_world([[0.0, 0.0], [600.0, 0.0]], [0, 0], h_min=300.0, h_max=1000.0)
+    raw = np.zeros((world.cfg.k_max, 1 + world.cfg.slots))
+    raw[0] = [raw_alt, *power_logits]
+    apply_raw(world, raw)
+    return world.h[0]
+
+
+def test_altitude_map_examples():
+    assert altitude_of(0.0) == pytest.approx(650.0)
+    assert altitude_of(50.0) == pytest.approx(1000.0)
+    assert altitude_of(np.arctanh(0.5)) == pytest.approx(825.0, rel=1e-12)
     with pytest.raises(ValueError):
-        map_altitude(np.nan, 300.0, 1000.0)
+        altitude_of(np.nan)
+    # a NaN in the power head raises too; an infinite altitude output saturates
+    with pytest.raises(ValueError):
+        altitude_of(0.0, (np.nan, 0.0))
+    assert altitude_of(np.inf) == 1000.0 and altitude_of(-np.inf) == 300.0
 
 
-def test_map_altitude_always_in_range():
+def test_altitude_map_always_in_range():
     rng = np.random.default_rng(0)
     for raw in rng.normal(0, 10, 200):
-        h = map_altitude(raw, 300.0, 1000.0)
+        h = altitude_of(raw)
         assert 300.0 <= h <= 1000.0
 
 
@@ -201,8 +215,8 @@ def test_constraint_audit_clean(world_factory):
     labels[:2] = [0, 1]
     world = world_factory(pts, labels)
     world.reset_episode(equal_blocks=True)
+    apply_raw(world, rng.normal(0, 3, (world.cfg.k_max, 1 + world.cfg.slots)))
     for j in world.active_idx:
-        world.apply_maddpg_action(j, rng.normal(), rng.normal(0, 3, world.cfg.slots))
         for s in range(world.n_slots[j]):
             world.apply_block_action(j, s, int(rng.choice([-1, 1])))
     for t in range(10):
@@ -210,15 +224,33 @@ def test_constraint_audit_clean(world_factory):
     assert all(v == 0 for v in world.audit.values())
 
 
-def test_applied_action_vector_matches_state(world_factory):
-    world = world_factory([[0.0, 0.0], [600.0, 0.0]], [0, 0])
-    world.reset_episode(equal_blocks=False)
-    vec = world.apply_maddpg_action(0, 0.3, np.array([1.0, -1.0]))
-    cfg = world.cfg
-    assert vec.shape == (1 + cfg.slots,)
-    assert vec[0] == pytest.approx((world.h[0] - cfg.h_min) / (cfg.h_max - cfg.h_min))
-    assert vec[1:] == pytest.approx(world.power[0] / cfg.p_max)
-    assert world.power[0].sum() == pytest.approx(cfg.p_max, abs=1e-9)
+def test_applied_action_vector_matches_state():
+    # the applied altitude and power are bit for bit the tanh and masked
+    # softmax maps of the raw outputs; the blocks floor the bandwidth split
+    rng = np.random.default_rng(21)
+    pts = rng.uniform(0, 29700, (7, 2))
+    for bw in (False, True):
+        world = build_world(pts, [0, 0, 0, 1, 1, 2, 2], uavs=[2, 0, 4], h_min=250.0,
+                            p_max=0.8)
+        world.reset_episode(equal_blocks=False)
+        cfg, S = world.cfg, world.cfg.slots
+        raw = rng.normal(0, 2, (cfg.k_max, 1 + S * (2 if bw else 1)))
+        vec = apply_raw(world, raw)
+        for j in world.active_idx:
+            h = cfg.h_min + (np.tanh(raw[j, 0]) + 1.0) / 2.0 * (cfg.h_max - cfg.h_min)
+            assert world.h[j] == h
+            fracs = masked_softmax(raw[j, 1:1 + S], world.mask[j])
+            assert np.array_equal(world.power[j], fracs * cfg.p_max)
+            assert world.power[j].sum() == pytest.approx(cfg.p_max, abs=1e-9)
+            assert vec[j, 0] == pytest.approx((h - cfg.h_min) / (cfg.h_max - cfg.h_min))
+            assert np.array_equal(vec[j, 1:1 + S], fracs)
+            if bw:
+                fracs = masked_softmax(raw[j, 1 + S:], world.mask[j])
+                assert np.array_equal(world.blocks[j], np.floor(fracs * cfg.block_limit))
+        if not bw:
+            assert not world.blocks.any()
+        inactive = [1, 3]
+        assert np.all(world.h[inactive] == 0.0) and np.all(world.power[inactive] == 0.0)
 
 
 def test_interferer_power_modes(world_factory):
@@ -259,8 +291,10 @@ def test_held_evaluation_matches_stepwise(mode):
     def make(**kw):
         world = build_world(pts, labels, uavs=[3, 1, 4], seed=6, p_avg_mode=mode, **kw)
         world.reset_episode(equal_blocks=True)
-        for j in world.active_idx:  # uneven splits, so the two p_avg modes differ
-            world.apply_maddpg_action(j, 0.2 * j, np.linspace(-1.0, 1.0, world.cfg.slots))
+        # uneven splits, so the two p_avg modes differ
+        k_max, S = world.cfg.k_max, world.cfg.slots
+        apply_raw(world, np.column_stack([0.2 * np.arange(k_max),
+                                          np.tile(np.linspace(-1.0, 1.0, S), (k_max, 1))]))
         return world
 
     # a threshold at the median rate serves users at some steps and not at others

@@ -34,6 +34,15 @@ def tiny_config(**kw):
     return build_config(overrides)
 
 
+def tiny_config_file(tmp_path) -> str:
+    """TINY as a `key = value` config file in tmp_path."""
+    path = tmp_path / "tiny.cfg"
+    path.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, (list, tuple)) else v}\n"
+        for k, v in TINY.items()))
+    return str(path)
+
+
 def read_csv(path: str) -> tuple[list[str], list[list[float]]]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -143,7 +152,8 @@ def test_config_unknown_key_named():
                                        ("n_ues", 0), ("n_ues", -2), ("cell_size_m", 0.0),
                                        ("cell_size_m", -1.0), ("grid_width", 0),
                                        ("grid_height", 0), ("metrics_interval", -3),
-                                       ("attraction_prob", -0.1), ("attraction_prob", 1.5)])
+                                       ("attraction_prob", -0.1), ("attraction_prob", 1.5),
+                                       ("seeds", [])])
 def test_degenerate_schedule_rejected(key, value):
     # each would divide by zero, average nothing, silently fall back, leave no
     # UAV to fly or fly one at or below the ground, serve nobody, mirror or
@@ -276,8 +286,10 @@ def test_run_determinism_api(tmp_path):
 def test_run_directory_bytes_pinned(tmp_path):
     """Every file of the tiny_config run directories of seed 1, byte for byte.
 
-    The simulate, static and flare (with checkpoint) directories are hashed
-    file by file. The flare digests pass through the learners' many small
+    The simulate, static, flare (with checkpoint) and learned-bandwidth
+    maddpg_only (with checkpoint) directories are hashed file by file; the
+    last is the one run that applies the actors' bandwidth head. The learners'
+    digests pass through the learners' many small
     matmuls, so a numpy or BLAS upgrade may move them with no change to this
     code; re-take them then, after checking that the static digests held.
     """
@@ -285,6 +297,8 @@ def test_run_directory_bytes_pinned(tmp_path):
     experiment.run_simulation(cfg, 1, str(tmp_path / "simulate"))
     run_single(cfg, "static", 1, str(tmp_path / "static"), quiet=True)
     run_single(cfg, "flare", 1, str(tmp_path / "flare"), quiet=True, checkpoint=True)
+    run_single(tiny_config(maddpg_bw_mode="learned"), "maddpg_only", 1,
+               str(tmp_path / "maddpg_only_bw"), quiet=True, checkpoint=True)
     world = {
         "clusters.csv": "06b80b9df77f49f54f7d401b237e21b9cc7c32c557b566adc0862ff7d7c47aa4",
         "trajectories.csv": "96f6c1cb92f25d253b10b2b3ca74791c89b1b29ca27105d74f0e625fff102151",
@@ -309,6 +323,14 @@ def test_run_directory_bytes_pinned(tmp_path):
             "rewards.csv": "012e782188ee7ff8e3aae14e59c6c82e7fb9d042faffd1e28f63a39edf1ed25a",
             "search_steps.csv": "c9f0778357e620f371333478927facaf030955058c269b0b4b4cd26d88b97c05",
             "summary.json": "ca363c5bfefba2c019acb89e2ea6ef06308037f21503378bc7baffae44c05c7a",
+        },
+        "maddpg_only_bw": {
+            **world,
+            "checkpoint.bin": "313e97aa3497bb8e32bfe29c4385361de25da3455ab5391ee3f381e420c4bc9d",
+            "config.txt": "45db59c01d1072a8116d23731dd801a8df53abe1a07386e73f7ac17e4c17f9bc",
+            "metrics.csv": "2d7ef55e4397755050555099be9c2c78a543bd8596607297abb57c4b93b93580",
+            "rewards.csv": "fccc7758807b5f720466fec6641fcfd21682b96af1d66454258c3830f7307a8a",
+            "summary.json": "dc6a0dbfa67c9271533da15c222f163bf948291b54ce40014b9b83e929351829",
         },
     }
     got = {kind: {name: hashlib.sha256((tmp_path / kind / name).read_bytes()).hexdigest()
@@ -362,10 +384,8 @@ def test_cli_simulate_and_oracle(tmp_path):
 
 
 def test_cli_train_tiny(tmp_path):
-    cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("".join(f"{k} = {v if not isinstance(v, (list, tuple)) else ','.join(map(str, v))}\n"
-                                for k, v in TINY.items()))
-    code = main(["train", "--config", str(cfg_path), "--method", "flare",
+    cfg_path = tiny_config_file(tmp_path)
+    code = main(["train", "--config", cfg_path, "--method", "flare",
                  "--rate-threshold", "5000000", "--out", str(tmp_path / "runs")])
     assert code == 0
     assert os.path.exists(tmp_path / "runs" / "flare_seed1" / "summary.json")
@@ -410,47 +430,82 @@ def test_run_experiment_comparison(tmp_path):
 
 
 def test_cli_evaluate_tiny(tmp_path):
-    cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("".join(
-        f"{k} = {v if not isinstance(v, (list, tuple)) else ','.join(map(str, v))}\n"
-        for k, v in TINY.items()))
-    code = main(["evaluate", "--config", str(cfg_path), "--out", str(tmp_path / "cmp")])
+    cfg_path = tiny_config_file(tmp_path)
+    code = main(["evaluate", "--config", cfg_path, "--out", str(tmp_path / "cmp")])
     assert code == 0
     assert os.path.exists(tmp_path / "cmp" / "comparison.json")
     for method in ("flare", "maddpg_only", "static"):
         assert os.path.exists(tmp_path / "cmp" / f"{method}_seed1" / "summary.json")
 
 
-def test_cli_train_checkpoint_flag(tmp_path):
-    cfg_path = tmp_path / "tiny.cfg"
-    cfg_path.write_text("".join(
-        f"{k} = {v if not isinstance(v, (list, tuple)) else ','.join(map(str, v))}\n"
-        for k, v in TINY.items()))
-    code = main(["train", "--config", str(cfg_path), "--method", "maddpg_only",
-                 "--out", str(tmp_path / "runs"), "--checkpoint"])
+def test_cli_evaluate_ratio_undefined_when_maddpg_serves_nobody(tmp_path, capsys):
+    # no user meets a 1 Tbit/s threshold: the ratio is null, and the file strict JSON
+    cfg_path = tiny_config_file(tmp_path)
+    code = main(["evaluate", "--config", cfg_path, "--rate-threshold", "1e12",
+                 "--out", str(tmp_path / "cmp")])
     assert code == 0
-    ck = tmp_path / "runs" / "maddpg_only_seed1" / "checkpoint.bin"
-    assert ck.exists()
+    assert "ratio: undefined" in capsys.readouterr().out
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    doc = json.loads((tmp_path / "cmp" / "comparison.json").read_text(), parse_constant=reject)
+    assert doc["flare_over_maddpg_ratio"] is None
+    assert all(m["mean_served"] == 0.0 for m in doc["methods"].values())
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_cli_train_checkpoint_flag(tmp_path, command):
+    # the learned methods write a checkpoint, static has no learner to save
+    cfg_path = tiny_config_file(tmp_path)
+    args = ["--config", cfg_path, "--out", str(tmp_path / "runs"), "--checkpoint"]
+    if command == "train":
+        for method in ("flare", "maddpg_only", "static"):
+            assert main(["train", "--method", method, *args]) == 0
+    else:
+        assert main(["evaluate", *args]) == 0
     from uavcov.learn import CHECKPOINT_MAGIC
-    assert ck.read_bytes().startswith(CHECKPOINT_MAGIC)
+    for method in ("flare", "maddpg_only"):
+        ck = tmp_path / "runs" / f"{method}_seed1" / "checkpoint.bin"
+        assert ck.read_bytes().startswith(CHECKPOINT_MAGIC)
+    assert os.listdir(tmp_path / "runs" / "static_seed1")
+    assert not (tmp_path / "runs" / "static_seed1" / "checkpoint.bin").exists()
 
 
 def test_run_single_cleans_partial_output(tmp_path, monkeypatch):
+    # a failed write (static) or a failed training frame (flare) removes the
+    # partial directory and closes every CSV writer the run opened
     cfg = tiny_config()
     out = tmp_path / "doomed"
     calls = {"n": 0}
-    original = experiment.CsvWriter.row
+    original_row, original_init = experiment.CsvWriter.row, experiment.CsvWriter.__init__
+    opened = []
 
     def flaky(self, *values):
         calls["n"] += 1
         if calls["n"] > 10:
             raise OSError("disk full")
-        return original(self, *values)
+        return original_row(self, *values)
 
-    monkeypatch.setattr(experiment.CsvWriter, "row", flaky)
-    with pytest.raises(OSError):
-        experiment.run_single(cfg, "static", 1, str(out), quiet=True)
-    assert not out.exists()
+    def recording_init(self, *args):
+        original_init(self, *args)
+        opened.append(self)
+
+    def failing_frame(*args, **kwargs):
+        raise FloatingPointError("frame failed")
+
+    monkeypatch.setattr(experiment.CsvWriter, "__init__", recording_init)
+    for method, owner, name, fault, writers in (
+            ("static", experiment.CsvWriter, "row", flaky, 4),
+            ("flare", experiment, "train_frame", failing_frame, 5)):
+        opened.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, fault)
+            with pytest.raises((OSError, FloatingPointError)):
+                experiment.run_single(cfg, method, 1, str(out), quiet=True)
+        assert not out.exists()
+        assert len(opened) == writers
+        assert all(w._fh.closed for w in opened)
 
 
 def test_rerun_keeps_no_stale_file(tmp_path):

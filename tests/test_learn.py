@@ -5,11 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from uavcov.env import EnvConfig, masked_softmax
+from uavcov.env import EnvConfig
 from uavcov.learn import (BLOCK_ACTIONS, Dqn, DqnPool, MaddpgLearner, ReplayBuffer,
                           TrainSchedule, dqn_select_action,
                           dqn_update, evaluate_frame_static,
-                          maddpg_select_action, squash_gradient,
+                          maddpg_select_action, masked_softmax, squash_gradient,
                           squash_raw_actions, td_error, train_frame)
 from uavcov import nn
 from uavcov.nn import Mlp
@@ -74,10 +74,21 @@ def test_squash_actions_feasible():
     rng = np.random.default_rng(7)
     mask = np.array([True, True, True, False, False])
     raw = rng.normal(0, 3, (6, 1 + 5))
-    sq = squash_raw_actions(raw, mask, 5, bw_head=False)
+    sq = squash_raw_actions(raw, mask)
     assert np.all(sq[:, 0] >= 0.0) and np.all(sq[:, 0] <= 1.0)
     assert np.allclose(sq[:, 1:].sum(axis=1), 1.0)
     assert np.all(sq[:, 4:6] == 0.0)
+
+
+def test_squash_one_output_matches_its_batch_row():
+    # train_frame squashes one actor output, the updates (B, n) batches
+    rng = np.random.default_rng(17)
+    mask = np.array([True, False, True, True])
+    for width in (1 + 4, 1 + 2 * 4):
+        raw = rng.normal(0, 3, width)
+        one = squash_raw_actions(raw, mask)
+        assert one.shape == (width,)
+        assert np.array_equal(one, squash_raw_actions(raw[None], mask)[0])
 
 
 def test_squash_gradient_matches_finite_differences():
@@ -90,10 +101,10 @@ def test_squash_gradient_matches_finite_differences():
         v = rng.normal(size=(1, dim))  # random linear functional of the squashed action
 
         def f(r):
-            return float((squash_raw_actions(r, mask, slots, bw_head) * v).sum())
+            return float((squash_raw_actions(r, mask) * v).sum())
 
-        sq = squash_raw_actions(raw, mask, slots, bw_head)
-        analytic = squash_gradient(raw, sq, v, mask, slots, bw_head)
+        sq = squash_raw_actions(raw, mask)
+        analytic = squash_gradient(raw, sq, v, mask)
         h = 1e-6
         for i in range(dim):
             rp, rm = raw.copy(), raw.copy()

@@ -16,6 +16,8 @@ from uavcov.channel import EnvConstants, FadingField
 from uavcov.clustering import ClusterPlan
 from uavcov.env import EnvConfig, FrameWorld
 
+from conftest import apply_raw
+
 FIELD_M = 99 * 300.0
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -62,10 +64,14 @@ def apply(world: FrameWorld, op):
     """Run one operation; returns what it returned, for the replay comparison."""
     act = world.active_idx
     if op[0] == "maddpg":
+        # UAV j's outputs are [alt, z(, -z)], the logits z rolled by jj + j
         _, jj, alt, logits, bw = op
-        j = act[jj % len(act)]
         z = np.array(logits[: world.cfg.slots])
-        return world.apply_maddpg_action(j, alt, z, -z if bw else None)
+        raw = np.array([np.concatenate([[alt], np.roll(z, jj + j)])
+                        for j in range(world.cfg.k_max)])
+        if bw:
+            raw = np.concatenate([raw, -raw[:, 1:]], axis=1)
+        return apply_raw(world, raw)
     if op[0] == "block":
         _, jj, ss, action = op
         j = act[jj % len(act)]
