@@ -30,38 +30,30 @@ from .channel import (EnvConstants, FadingField, mixed_power, rician_power_gain,
                       rayleigh_power_gain, slant_geometry)
 from .config import ExperimentConfig, config_hash, dump_config
 from .env import EnvConfig, FrameWorld
-from .learn import (BLOCK_ACTIONS, Dqn, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
+from .learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer, TrainSchedule,
                     dqn_select_action, dqn_update, evaluate_frame_static,
                     save_checkpoint, train_frame, zero_head_mlp)
 from .mobility import GridWorld
+from .nn import Adam
 
 
 # ----- bandwidth oracle -----
 
-@dataclass(frozen=True)
-class OracleBlocks:
-    blocks: float          # smallest sufficient block count; math.inf if rate is 0
-    within_budget: bool    # False when the count exceeds the per-UAV block limit
-
-    @property
-    def feasible(self) -> bool:
-        return math.isfinite(self.blocks) and self.within_budget
-
-
 def oracle_min_blocks(power_eff: float, interference: float, noise: float,
-                      r_th: float, block_size: float, block_limit: int) -> OracleBlocks:
+                      r_th: float, block_size: float) -> float:
     """Closed-form minimum block count meeting the rate threshold.
 
-    Smallest integer n with n * block_size * log2(1 + SINR) >= r_th.
+    Smallest integer n with n * block_size * log2(1 + SINR) >= r_th, as a
+    float; math.inf when the link carries no rate. Whether n fits a UAV's
+    block budget is the caller's comparison.
     """
     if r_th <= 0:
         raise ValueError("r_th must be positive")
     sinr = power_eff / (interference + noise)
     per_block = block_size * np.log2(1.0 + sinr)
     if per_block <= 0.0:
-        return OracleBlocks(blocks=math.inf, within_budget=False)
-    n = int(math.ceil(r_th / per_block))
-    return OracleBlocks(blocks=float(n), within_budget=n <= block_limit)
+        return math.inf
+    return float(math.ceil(r_th / per_block))
 
 
 # ----- deterministic file writers -----
@@ -216,14 +208,14 @@ def _write_frame(out: dict[str, CsvWriter], frame: int, state, pts, plan):
 
 # ----- BLAS threads -----
 
-# get/set_num_threads of OpenBLAS builds: numpy's wheels (ILP64, prefixed)
-# first, then plain OpenBLAS
+# symbol patterns of OpenBLAS builds: numpy's wheels (ILP64, prefixed) first,
+# then plain OpenBLAS
 _OPENBLAS_SYMBOLS = ("scipy_openblas_{}64_", "openblas_{}64_", "scipy_openblas_{}", "openblas_{}")
 
 
 @functools.cache
-def _openblas_threads():
-    """(get_num_threads, set_num_threads) of the OpenBLAS numpy loaded, or None.
+def _openblas_function(name: str):
+    """The function `name` (such as "get_num_threads") of the OpenBLAS numpy loaded, or None.
 
     The library is found among the process's mapped files, which Linux
     lists in /proc/self/maps; elsewhere, or with another BLAS, none is found.
@@ -240,15 +232,20 @@ def _openblas_threads():
         except OSError:
             continue
         for symbol in _OPENBLAS_SYMBOLS:
-            try:
-                get = getattr(lib, symbol.format("get_num_threads"))
-                set_ = getattr(lib, symbol.format("set_num_threads"))
-            except AttributeError:
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            if hasattr(lib, symbol.format(name)):
+                return getattr(lib, symbol.format(name))
     return None
+
+
+@functools.cache
+def _openblas_threads():
+    """(get_num_threads, set_num_threads) of the OpenBLAS numpy loaded, or None."""
+    get, set_ = _openblas_function("get_num_threads"), _openblas_function("set_num_threads")
+    if get is None or set_ is None:
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextlib.contextmanager
@@ -493,14 +490,14 @@ def oracle_table(cfg: ExperimentConfig, out_path: str | None = None) -> list[dic
     for d in range(0, 3001, 250):
         r, theta = slant_geometry(float(d), h)
         p_eff = mixed_power(p_tx, r, theta, 1.0, 1.0, consts)
-        oracle = oracle_min_blocks(p_eff, 0.0, consts.noise_power, env_cfg.r_th,
-                                   env_cfg.block_size, env_cfg.block_limit)
+        blocks = oracle_min_blocks(p_eff, 0.0, consts.noise_power, env_cfg.r_th,
+                                   env_cfg.block_size)
         rows.append({
             "distance_m": float(d),
             "altitude_m": float(h),
             "p_tx_w": float(p_tx),
-            "blocks": oracle.blocks,
-            "within_budget": oracle.within_budget,
+            "blocks": blocks,
+            "within_budget": blocks <= env_cfg.block_limit,
         })
     if out_path:
         writer = CsvWriter(out_path, ["distance_m", "altitude_m", "p_tx_w",
@@ -523,11 +520,12 @@ class LinkOutcome:
 
 
 def sample_static_link(rng: np.random.Generator, env_cfg: EnvConfig,
-                       consts: EnvConstants) -> float:
-    """Random static link with frozen fading; returns its per-block rate (bits/s).
+                       consts: EnvConstants) -> tuple[float, int]:
+    """Random static link with frozen fading: (per-block rate in bits/s, oracle count).
 
-    Geometry, power and fading are drawn until the oracle block count lands in
-    a range a +-1 search can explore within a few hundred steps.
+    Geometry, power and fading are drawn until oracle_min_blocks lands in a
+    range a +-1 search can explore within a few hundred steps; a link with
+    no rate has an infinite count and is redrawn.
     """
     while True:
         d = rng.uniform(0.0, 1500.0)
@@ -537,21 +535,20 @@ def sample_static_link(rng: np.random.Generator, env_cfg: EnvConfig,
         k = rayleigh_power_gain(rng)
         r, theta = slant_geometry(d, h)
         p_eff = mixed_power(p_tx, r, theta, g, k, consts)
-        per_block = env_cfg.block_size * np.log2(1.0 + p_eff / consts.noise_power)
-        if per_block <= 0.0:
-            continue
-        n = math.ceil(env_cfg.r_th / per_block)
+        n = oracle_min_blocks(p_eff, 0.0, consts.noise_power, env_cfg.r_th, env_cfg.block_size)
         if 3 <= n <= 120:
-            return float(per_block)
+            return float(env_cfg.block_size * np.log2(1.0 + p_eff / consts.noise_power)), int(n)
 
 
 def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstants,
                            schedule: TrainSchedule, master_seed: int) -> list[LinkOutcome]:
     """Train one DQN per randomized static link and compare to the oracle.
 
-    State is [blocks/limit, served]; reward 1 on meeting the threshold, at
-    which point the search episode ends. After training, a greedy rollout
-    from zero blocks gives the frozen count compared against the closed form.
+    Each link's Q-net is a zero_head_mlp with a clone() target and an Adam
+    at dqn_lr, trained by dqn_update. State is [blocks/limit, served];
+    reward 1 on meeting the threshold, at which point the search episode
+    ends. After training, a greedy rollout from zero blocks gives the frozen
+    count compared against sample_static_link's closed-form count.
     """
     link_rng = seeding.sequential_stream(master_seed, "benchmark-links")
     expl_rng = seeding.sequential_stream(master_seed, "benchmark-expl")
@@ -563,9 +560,9 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
     outcomes = []
     total = schedule.episodes * schedule.steps_per_episode
     for _ in range(n_links):
-        per_block = sample_static_link(link_rng, env_cfg, consts)
-        oracle_n = math.ceil(env_cfg.r_th / per_block)
-        dqn = Dqn(zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng), schedule.dqn_lr)
+        per_block, oracle_n = sample_static_link(link_rng, env_cfg, consts)
+        net = zero_head_mlp([2] + list(schedule.hidden) + [2], init_rng)
+        target, opt = net.clone(), Adam(net.flat, schedule.dqn_lr)
         buffer = ReplayBuffer(schedule.replay_capacity, {"state": 2, "action": 1, "reward": 1,
                                                          "next_state": 2, "done": 1})
         search_steps = []
@@ -577,7 +574,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
             for t in range(schedule.steps_per_episode):
                 eps = schedule.eps_at(gstep, total)
                 state = np.array([blocks / env_cfg.block_limit, 0.0])
-                a_idx = dqn_select_action(dqn.net, state, eps, expl_rng)
+                a_idx = dqn_select_action(net, state, eps, expl_rng)
                 blocks = move(blocks, a_idx)
                 rate = blocks * per_block
                 served = rate >= env_cfg.r_th
@@ -588,7 +585,8 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
                 gstep += 1
                 if (t + 1) % schedule.update_interval == 0 and \
                         len(buffer) >= max(schedule.batch_size, schedule.warmup_transitions):
-                    dqn_update(dqn, buffer.sample(schedule.batch_size, expl_rng), schedule)
+                    dqn_update(net, target, opt, buffer.sample(schedule.batch_size, expl_rng),
+                               schedule)
                 if served:
                     steps_used = t + 1
                     break
@@ -598,7 +596,7 @@ def block_search_benchmark(n_links: int, env_cfg: EnvConfig, consts: EnvConstant
         frozen = None
         for _ in range(schedule.steps_per_episode):
             state = np.array([blocks / env_cfg.block_limit, 0.0])
-            blocks = move(blocks, dqn_select_action(dqn.net, state, 0.0, None))
+            blocks = move(blocks, dqn_select_action(net, state, 0.0, None))
             if blocks * per_block >= env_cfg.r_th:
                 frozen = blocks
                 break

@@ -10,7 +10,8 @@ zero-masked. All gradients, the policy head's included, are computed manually
 through the nn core. Parameters, targets and Adam moments are flat vectors
 (one (rows, P) matrix for a stack of Q-nets) in the nn layout, so each
 optimizer step and soft update is one call per net, and checkpoints name
-per-layer views of them.
+per-layer views of them. The single-link block search trains one Q-net on
+the MADDPG nets' parts: an Mlp, its clone() as target, and an Adam.
 
 Within one frame the world is quasi-static: buffers hold only current-frame
 transitions, while network weights persist across frames (warm start).
@@ -466,28 +467,19 @@ class DqnPool:
         return self.stack.update(rows[ready], batch, self.schedule.gamma, self.schedule.tau)
 
 
-class Dqn:
-    """One Q-net, its target and the net's Adam, the two nets rows of one (2, P) array.
+def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
+               schedule: TrainSchedule) -> float:
+    """One TD step: y = r + gamma * max_a Q'(s',a), squared error, soft update.
 
-    Row 0 is the target and row 1 the online net, both starting as copies
-    of init; dqn_update runs their two forwards as one stacked pass.
+    A single Q-net is an Mlp with a clone() target and an Adam, like each
+    MADDPG net; the steps are those of MaddpgLearner's critic update.
     """
-
-    def __init__(self, init: Mlp, lr: float):
-        self.pair = np.stack([init.flat, init.flat])
-        self.target, self.net = (Mlp(init.dims, flat=row) for row in self.pair)
-        self.opt = Adam(self.net.flat, lr)
-        self.layers = layer_views(self.pair, init.dims)
-
-
-def dqn_update(dqn: Dqn, batch: dict[str, np.ndarray], schedule: TrainSchedule) -> float:
-    """One TD step: y = r + gamma * max_a Q'(s',a), squared error, soft update."""
-    acts: list[np.ndarray] = []
-    q_next, q = forward(*dqn.layers, np.stack([batch["next_state"], batch["state"]]), acts)
+    q_next = target.forward(batch["next_state"])
+    q, cache = net.forward_cached(batch["state"])
     td, grad_out = td_error(q, q_next, batch, schedule.gamma)
-    grad, _ = backward(dqn.net.weights, [a[1] for a in acts], grad_out, input_grad=False)
-    dqn.opt.step(grad)
-    soft_update(dqn.target, dqn.net, schedule.tau)
+    grad, _ = net.backward(cache, grad_out, input_grad=False)
+    opt.step(grad)
+    soft_update(target, net, schedule.tau)
     return float(np.mean(td ** 2))
 
 
@@ -505,7 +497,11 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
                 schedule: TrainSchedule, expl_rng: np.random.Generator,
                 step_offset: int, total_steps: int,
                 metrics_sink=None) -> list[EpisodeRecord]:
-    """Run the episode/timestep loops of one frame on its static snapshot."""
+    """Run the episode/timestep loops of one frame on its static snapshot.
+
+    A non-finite actor output raises a ValueError naming the frame, episode
+    and step it reached the world at.
+    """
     cfg = world.cfg
     S = cfg.slots
     use_dqn = dqns is not None
@@ -526,7 +522,10 @@ def train_frame(world: FrameWorld, maddpg: MaddpgLearner, dqns: DqnPool | None,
             for j in world.active_idx:
                 raw = maddpg_select_action(maddpg.actors[j], obs[j], sigma, expl_rng)
                 joint_act[j] = squash_raw_actions(raw, world.mask[j])
-            world.apply_maddpg_action(joint_act)
+            try:
+                world.apply_maddpg_action(joint_act)
+            except ValueError as err:
+                raise ValueError(f"frame {world.frame}, episode {e}, step {t}: {err}") from err
 
             if use_dqn:
                 js, ss = np.nonzero(world.mask & ~world.frozen)

@@ -1,5 +1,6 @@
 """Shared world builders for the environment and learning tests."""
 
+import ctypes
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import uavcov
+from uavcov import experiment
 from uavcov.channel import EnvConstants, FadingField
 from uavcov.clustering import ClusterPlan
 from uavcov.env import EnvConfig, FrameWorld
@@ -31,6 +33,28 @@ def run_cli(*args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "uavcov.cli", *args], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def blas_core() -> str:
+    """The kernel set numpy's OpenBLAS picked for this CPU, such as "SkylakeX".
+
+    OPENBLAS_CORETYPE overrides the pick. Kernel sets sum in different
+    orders, so the last bits of learned parameters depend on it.
+    """
+    corename = experiment._openblas_function("get_corename")
+    if corename is None:
+        return "not OpenBLAS"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def digest_for_blas_core(digests: dict[str, str]) -> str:
+    """The digest pinned for this process's OpenBLAS core; fails naming an unknown core."""
+    core = blas_core()
+    if core not in digests:
+        pytest.fail(f"no digest pinned for the OpenBLAS core {core!r}; "
+                    f"pinned for {sorted(digests)}")
+    return digests[core]
 
 
 def build_world(ue_xy_m, assignment, uav_xy=None, seed=0, frame=0, uavs=None, **env_kw):

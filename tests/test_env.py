@@ -161,14 +161,13 @@ def test_oracle_minimum_blocks_serve_exactly(world_factory):
         received_power(world.power[0, 0], geom_r, g[0, 0], CONSTS.alpha_los),
         received_power(world.power[0, 0], geom_r, k[0, 0], CONSTS.alpha_nlos),
     )
-    oracle = oracle_min_blocks(p_eff, 0.0, CONSTS.noise_power, cfg.r_th,
-                               cfg.block_size, cfg.block_limit)
-    assert oracle.feasible
-    world.blocks[0, 0] = int(oracle.blocks)
+    oracle = oracle_min_blocks(p_eff, 0.0, CONSTS.noise_power, cfg.r_th, cfg.block_size)
+    assert oracle <= cfg.block_limit
+    world.blocks[0, 0] = int(oracle)
     _, served, rewards, _ = world.evaluate(0, 0)
     assert served[0] and rewards[0] == 1.0
     world.reset_episode(equal_blocks=False)
-    world.blocks[0, 0] = int(oracle.blocks) - 1
+    world.blocks[0, 0] = int(oracle) - 1
     _, served, _, _ = world.evaluate(0, 0)
     assert not served[0]
 

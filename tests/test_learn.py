@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from uavcov.env import EnvConfig
-from uavcov.learn import (BLOCK_ACTIONS, Dqn, DqnPool, MaddpgLearner, ReplayBuffer,
+from uavcov.learn import (BLOCK_ACTIONS, DqnPool, MaddpgLearner, ReplayBuffer,
                           TrainSchedule, dqn_select_action,
                           dqn_update, evaluate_frame_static,
                           maddpg_select_action, masked_softmax, squash_gradient,
                           squash_raw_actions, td_error, train_frame)
 from uavcov import nn
-from uavcov.nn import Mlp
+from uavcov.nn import Adam, Mlp
 
-from conftest import build_world
+from conftest import build_world, digest_for_blas_core
 
 
 def small_schedule(**kw):
@@ -23,6 +23,11 @@ def small_schedule(**kw):
                     hidden=(16, 16), lr=1e-3)
     defaults.update(kw)
     return TrainSchedule(**defaults)
+
+
+def single_qnet(net: Mlp, lr: float):
+    """(net, target, optimizer) of one Q-net, as block_search_benchmark builds them."""
+    return net, net.clone(), Adam(net.flat, lr)
 
 
 def test_select_action_deterministic_at_zero_sigma():
@@ -182,7 +187,7 @@ def test_dqn_bandit_deterministic_rewards():
     # gamma = 0, fixed state, r(a0)=1.0, r(a1)=0.3: Q converges to the rewards
     sch = small_schedule(gamma=0.0, lr=1e-3, batch_size=16)
     rng = np.random.default_rng(2)
-    dqn = Dqn(Mlp([2, 16, 16, 2], rng), sch.lr)
+    net, target, opt = single_qnet(Mlp([2, 16, 16, 2], rng), sch.lr)
     buf = ReplayBuffer(64, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     state = np.array([0.25, 0.0])
     for i in range(32):
@@ -190,8 +195,8 @@ def test_dqn_bandit_deterministic_rewards():
         buf.add(state=state, action=a, reward=1.0 if a == 0 else 0.3,
                 next_state=state, done=1.0)
     for _ in range(2000):
-        dqn_update(dqn, buf.sample(16, rng), sch)
-    q = dqn.net.forward(state)
+        dqn_update(net, target, opt, buf.sample(16, rng), sch)
+    q = net.forward(state)
     assert q[0] == pytest.approx(1.0, abs=0.05)
     assert q[1] == pytest.approx(0.3, abs=0.05)
 
@@ -199,8 +204,7 @@ def test_dqn_bandit_deterministic_rewards():
 def test_dqn_terminal_excludes_bootstrap():
     sch = small_schedule(gamma=0.9, lr=5e-3, batch_size=8)
     rng = np.random.default_rng(3)
-    dqn = Dqn(Mlp([2, 8, 2], rng), sch.lr)
-    net, target = dqn.net, dqn.target
+    net, target, opt = single_qnet(Mlp([2, 8, 2], rng), sch.lr)
     # pump the target high; terminal transitions must ignore it
     for p in target.params:
         p[...] = 0.0
@@ -213,7 +217,7 @@ def test_dqn_terminal_excludes_bootstrap():
         batch = buf.sample(8, rng)
         # keep the target frozen at its sentinel to expose any bootstrap leak
         snapshot = [p.copy() for p in target.params]
-        dqn_update(dqn, batch, sch)
+        dqn_update(net, target, opt, batch, sch)
         for p, s in zip(target.params, snapshot):
             p[...] = s
     assert net.forward(state)[0] == pytest.approx(0.0, abs=0.05)
@@ -225,40 +229,32 @@ def test_dqn_zero_rewards_zero_loss():
     net = Mlp([2, 8, 2], rng)
     for p in net.params:
         p[...] = 0.0
-    dqn = Dqn(net, sch.lr)
     buf = ReplayBuffer(16, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     for _ in range(8):
         buf.add(state=np.zeros(2), action=0, reward=0.0, next_state=np.zeros(2), done=0.0)
-    loss = dqn_update(dqn, buf.sample(8, rng), sch)
+    loss = dqn_update(*single_qnet(net, sch.lr), buf.sample(8, rng), sch)
     assert loss == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dqn_update_bytes_pinned():
     # fifty single-link TD steps on a non-zero head: the online and target
-    # parameters, the Adam moments and the losses, byte for byte
+    # parameters, the Adam moments and the losses, byte for byte, under each
+    # OpenBLAS kernel set
     sch = small_schedule(gamma=0.9, tau=0.05, lr=1e-3, batch_size=16)
     rng = np.random.default_rng(5)
-    dqn = Dqn(Mlp([2, 16, 16, 2], rng), sch.lr)
+    net, target, opt = single_qnet(Mlp([2, 16, 16, 2], rng), sch.lr)
     buf = ReplayBuffer(64, {"state": 2, "action": 1, "reward": 1, "next_state": 2, "done": 1})
     for i in range(64):
         buf.add(state=rng.uniform(size=2), action=i % 2, reward=float(rng.random() < 0.3),
                 next_state=rng.uniform(size=2), done=float(rng.random() < 0.2))
-    losses = [dqn_update(dqn, buf.sample(16, rng), sch) for _ in range(50)]
-    blob = b"".join(a.tobytes() for a in (dqn.net.flat, dqn.target.flat, dqn.opt.m,
-                                          dqn.opt.v, np.array(losses)))
-    assert hashlib.sha256(blob).hexdigest() == (
-        "48f5af35a079d1f39a2bcb6c15424cfc5e2c137e86d2da5dfb4bddb5bfecd5a2")
-
-
-def test_dqn_pair_rows_are_the_target_and_the_net():
-    init = Mlp([2, 4, 2], np.random.default_rng(6))
-    dqn = Dqn(init, 1e-3)
-    assert dqn.pair.shape == (2, init.flat.size)
-    assert np.shares_memory(dqn.target.flat, dqn.pair[0])
-    assert np.shares_memory(dqn.net.flat, dqn.pair[1])
-    assert np.shares_memory(dqn.opt.params, dqn.pair[1])
-    assert not np.shares_memory(dqn.pair, init.flat)
-    assert np.array_equal(dqn.pair[0], init.flat) and np.array_equal(dqn.pair[1], init.flat)
+    losses = [dqn_update(net, target, opt, buf.sample(16, rng), sch) for _ in range(50)]
+    blob = b"".join(a.tobytes() for a in (net.flat, target.flat, opt.m, opt.v,
+                                          np.array(losses)))
+    assert hashlib.sha256(blob).hexdigest() == digest_for_blas_core({
+        "SkylakeX": "48f5af35a079d1f39a2bcb6c15424cfc5e2c137e86d2da5dfb4bddb5bfecd5a2",
+        "Haswell": "08f11c922883fcd6da8fed7e18b4cd55a1ef6d610a5b84ada629107ef6721ac1",
+        "Sandybridge": "0cb1878c7b639236a9057a991e648fd9b27d581dea9596d16e7c7002c40244b4",
+    })
 
 
 def test_train_frame_smoke_and_determinism():
@@ -280,6 +276,17 @@ def test_train_frame_smoke_and_determinism():
         assert committed == recs[-1].committed
     assert records[0][0] == records[1][0]
     assert records[0][1:] == records[1][1:]
+
+
+def test_non_finite_action_names_its_step():
+    # a NaN in actor 0's output layer reaches the world at the frame's first step
+    world = build_world([[0.0, 0.0], [600.0, 0.0]], [0, 0], frame=2)
+    sch = small_schedule()
+    maddpg = MaddpgLearner(world.cfg, sch, np.random.default_rng(0))
+    maddpg.actors[0].biases[-1][0] = np.nan
+    with pytest.raises(ValueError, match=r"^frame 2, episode 0, step 0: actions must be finite$"):
+        train_frame(world, maddpg, None, sch, np.random.default_rng(1), 0,
+                    sch.episodes * sch.steps_per_episode)
 
 
 def test_evaluate_frame_static_keeps_reset_allocation():
@@ -321,7 +328,8 @@ def test_dqn_pool_lazy_and_persistent():
 
 
 def test_stacked_qnets_match_single_nets():
-    # a stacked update on two rows must equal two independent Mlp updates
+    # a stacked update on two rows must equal two dqn_update steps on single
+    # Mlp nets, each with its clone() target and Adam
     from uavcov.learn import StackedQnets, zero_head_mlp
     sch = small_schedule(gamma=0.9, lr=1e-3, tau=0.05)
     dims = [3, 8, 8, 2]
@@ -331,9 +339,9 @@ def test_stacked_qnets_match_single_nets():
     for row in (1, 3):
         rng_i = np.random.default_rng(100 + row)
         stack.init_row(row, rng_i)
-        net = zero_head_mlp(dims, np.random.default_rng(100 + row))
-        dqn = Dqn(net, sch.lr)
-        singles.append({"net": dqn.net, "target": dqn.target, "dqn": dqn})
+        net, target, opt = single_qnet(zero_head_mlp(dims, np.random.default_rng(100 + row)),
+                                       sch.lr)
+        singles.append({"net": net, "target": target, "opt": opt})
         for li in range(len(net.weights)):
             assert np.array_equal(stack.weights[li][row], net.weights[li])
 
@@ -354,7 +362,7 @@ def test_stacked_qnets_match_single_nets():
         stack.update(idx, batch, sch.gamma, sch.tau)
         for r, ent in enumerate(singles):
             single_batch = {k: v[r] for k, v in batch.items()}
-            dqn_update(ent["dqn"], single_batch, sch)
+            dqn_update(ent["net"], ent["target"], ent["opt"], single_batch, sch)
     for r, (row, ent) in enumerate(zip((1, 3), singles)):
         for li in range(len(ent["net"].weights)):
             assert np.array_equal(stack.weights[li][row], ent["net"].weights[li])
@@ -481,9 +489,8 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
                 sch.episodes * sch.steps_per_episode)
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, maddpg, dqns, {"frame": 3})
-    path2 = str(tmp_path / "ck2.bin")
-    save_checkpoint(path2, maddpg, dqns, {"frame": 3})
-    assert open(path, "rb").read() == open(path2, "rb").read()
+    save_checkpoint(str(tmp_path / "ck2.bin"), maddpg, dqns, {"frame": 3})
+    assert (tmp_path / "ck.bin").read_bytes() == (tmp_path / "ck2.bin").read_bytes()
 
     snapshot = [p.copy() for p in maddpg.actors[0].params]
     t_snapshot = maddpg.actor_opts[0].t
