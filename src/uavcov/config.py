@@ -60,6 +60,11 @@ class ExperimentConfig:
         ):
             if not valid:
                 raise ConfigError(f"invalid value for key '{key}': {getattr(self, key)}{rule}")
+        sch = self.schedule  # a frame's replay must hold the warm-up, or no learner updates
+        for key in ("warmup_transitions", "batch_size"):
+            if getattr(sch, key) > sch.replay_capacity:
+                raise ConfigError(f"invalid value for key '{key}': {getattr(sch, key)} (more than "
+                                  f"the {sch.replay_capacity} transitions of a frame's replay)")
 
 
 # Desk-scale profile: the same physics at a laptop-sized training budget.

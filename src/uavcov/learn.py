@@ -10,8 +10,10 @@ zero-masked. All gradients, the policy head's included, are computed manually
 through the nn core. Parameters, targets and Adam moments are flat vectors
 (one (rows, P) matrix for a stack of Q-nets) in the nn layout, so each
 optimizer step and soft update is one call per net, and checkpoints name
-per-layer views of them. The single-link block search trains one Q-net on
-the MADDPG nets' parts: an Mlp, its clone() as target, and an Adam.
+per-layer views of them. Every Q-net is built from the MADDPG nets' parts:
+an Mlp, its clone() as target, and an Adam. The single-link block search
+trains one; flare's per-user Q-nets are the rows of one such stack. Both
+take the same TD step, dqn_update.
 
 Within one frame the world is quasi-static: buffers hold only current-frame
 transitions, while network weights persist across frames (warm start).
@@ -23,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import EnvConfig, FrameWorld
-from .nn import (BETA1, BETA2, Adam, Mlp, adam_update, backward, blend, forward, layer_views,
-                 param_count, param_views, soft_update)
+from .nn import Adam, Mlp, param_count, param_views, soft_update
 
 CHECKPOINT_MAGIC = b"UAVCOV-CKPT-1\n"
 
@@ -364,64 +365,44 @@ def td_error(q: np.ndarray, q_next: np.ndarray, batch: dict[str, np.ndarray],
 
 
 class StackedQnets:
-    """A family of same-architecture Q-nets stored as stacked parameter vectors.
+    """A family of same-architecture Q-nets: an Mlp over a (rows, P) stack.
 
-    Row r of flat holds one net's parameters in the nn flat layout; t_flat
-    holds the targets and m_flat, v_flat the Adam moments. weights, biases,
-    their t_ twins, m and v are per-parameter views of these stores. An
-    update gathers the requested rows of each store once, runs the nn kernels
-    over them as one (rows, B, ...) batch and scatters them back, so the math
-    per row is that of an individual Mlp (the tests assert bit equality),
-    just not paid for thirty times per timestep.
+    Row r of net.flat holds one net's parameters in the nn flat layout; the
+    target is net's clone() and opt an Adam with one step count per row. An
+    update gathers the requested rows into an Mlp, target and Adam of their
+    own, runs the same dqn_update as a single Q-net over them as one
+    (rows, B, ...) batch and scatters them back, so the math per row is that
+    of an individual Mlp (the tests assert bit equality), just not paid for
+    thirty times per timestep.
     """
 
     def __init__(self, rows: int, dims: list[int], lr: float, dtype=np.float64):
-        self.dims = list(dims)
-        self.dtype = dtype
-        self.lr = float(lr)
-        shape = (rows, param_count(self.dims))
-        self.flat, self.t_flat, self.m_flat, self.v_flat = (np.zeros(shape, dtype)
-                                                            for _ in range(4))
-        p, t = param_views(self.flat, self.dims), param_views(self.t_flat, self.dims)
-        m, v = param_views(self.m_flat, self.dims), param_views(self.v_flat, self.dims)
-        self.weights, self.biases = p[0::2], p[1::2]
-        self.t_weights, self.t_biases = t[0::2], t[1::2]
-        self.m, self.v = m[0::2] + m[1::2], v[0::2] + v[1::2]
-        self.t = np.zeros(rows, dtype=np.int64)
+        self.net = Mlp(dims, flat=np.zeros((rows, param_count(dims)), dtype))
+        self.target = self.net.clone()
+        self.opt = Adam(self.net.flat, lr, t=np.zeros(rows, dtype=np.int64))
         self.initialized = np.zeros(rows, dtype=bool)
 
     def init_row(self, row: int, rng: np.random.Generator):
         """Uniform fan-in init with a zeroed output layer (see zero_head_mlp)."""
         if self.initialized[row]:
             return
-        self.flat[row] = self.t_flat[row] = zero_head_mlp(self.dims, rng).flat
+        self.net.flat[row] = self.target.flat[row] = zero_head_mlp(self.net.dims, rng).flat
         self.initialized[row] = True
 
     def q_values(self, idx: np.ndarray, states: np.ndarray) -> np.ndarray:
         """Online Q-values for one state per row: states (m, din) -> (m, 2)."""
-        x = states[:, None, :].astype(self.dtype, copy=False)
-        return forward(*layer_views(self.flat[idx], self.dims), x)[:, 0, :]
+        return Mlp(self.net.dims, flat=self.net.flat[idx]).forward(states[:, None, :])[:, 0, :]
 
     def update(self, idx: np.ndarray, batch: dict[str, np.ndarray],
-               gamma: float, tau: float) -> float:
-        """One TD step on rows idx from stacked minibatches (m, B, ...)."""
-        p, tp, m, v = (store[idx] for store in (self.flat, self.t_flat, self.m_flat, self.v_flat))
-        q_next = forward(*layer_views(tp, self.dims), batch["next_state"])
-        acts: list[np.ndarray] = []
-        weights, biases = layer_views(p, self.dims)
-        q = forward(weights, biases, batch["state"], acts)
-        td, grad_out = td_error(q, q_next, batch, gamma)
-        grad, _ = backward(weights, acts, grad_out, input_grad=False)
-        self.t[idx] += 1
-        # Python's pow, as Adam.step takes it: numpy's vectorized power can
-        # differ from it in the last bit
-        ts = self.t[idx].tolist()
-        b1t = np.array([1.0 - BETA1 ** t for t in ts]).astype(self.dtype)[:, None]
-        b2t = np.array([1.0 - BETA2 ** t for t in ts]).astype(self.dtype)[:, None]
-        adam_update(p, grad, m, v, b1t, b2t, self.lr)
-        blend(tp, p, tau)
-        self.flat[idx], self.t_flat[idx], self.m_flat[idx], self.v_flat[idx] = p, tp, m, v
-        return float(np.mean(td ** 2))
+               schedule: TrainSchedule) -> float:
+        """One dqn_update on rows idx from stacked minibatches (m, B, ...)."""
+        net, target = (Mlp(s.dims, flat=s.flat[idx]) for s in (self.net, self.target))
+        opt = Adam(net.flat, self.opt.lr, m=self.opt.m[idx], v=self.opt.v[idx],
+                   t=self.opt.t[idx])
+        loss = dqn_update(net, target, opt, batch, schedule)
+        self.net.flat[idx], self.target.flat[idx] = net.flat, target.flat
+        self.opt.m[idx], self.opt.v[idx], self.opt.t[idx] = opt.m, opt.v, opt.t
+        return loss
 
 
 class DqnPool:
@@ -464,7 +445,7 @@ class DqnPool:
         if not ready.any():
             return None
         batch = self.buffer.sample_rows(users[ready], self.schedule.batch_size, rng)
-        return self.stack.update(rows[ready], batch, self.schedule.gamma, self.schedule.tau)
+        return self.stack.update(rows[ready], batch, self.schedule)
 
 
 def dqn_update(net: Mlp, target: Mlp, opt: Adam, batch: dict[str, np.ndarray],
@@ -600,11 +581,13 @@ def _collect_arrays(maddpg: MaddpgLearner, dqns: DqnPool | None) -> dict[str, np
                 arrays[f"maddpg/{i}/{tag}/v{li}"] = v
     if dqns is not None:
         stack = dqns.stack
-        for tag, store in (("w", stack.weights), ("b", stack.biases), ("tw", stack.t_weights),
-                           ("tb", stack.t_biases), ("m", stack.m), ("v", stack.v)):
+        m, v = (param_views(a, stack.net.dims) for a in (stack.opt.m, stack.opt.v))
+        for tag, store in (("w", stack.net.weights), ("b", stack.net.biases),
+                           ("tw", stack.target.weights), ("tb", stack.target.biases),
+                           ("m", m[0::2] + m[1::2]), ("v", v[0::2] + v[1::2])):
             for i, a in enumerate(store):
                 arrays[f"dqn/{tag}{i}"] = a
-        arrays["dqn/t"] = stack.t
+        arrays["dqn/t"] = stack.opt.t
         arrays["dqn/initialized"] = stack.initialized
     return arrays
 

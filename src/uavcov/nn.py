@@ -8,11 +8,12 @@ vector, and a stack gathers or scatters a net's parameters in one indexing.
 
 The kernels work over leading axes, so one net and a stack of nets run the
 same lines: one net's batch is (B, in) against weights (in, out) and biases
-(out,); m stacked nets' batches are (m, B, in) against weights (m, in, out)
-and biases (m, 1, out). Arithmetic stays in the dtype of the arrays given
-(the MADDPG nets are float64, the stacked DQNs float32). Hidden activations
-are rectifiers and the output is linear; gradients are computed exactly by
-hand and are validated against finite differences in the tests.
+(1, out); m stacked nets' batches are (m, B, in) against weights (m, in, out)
+and biases (m, 1, out). An Mlp over an (m, P) flat is such a stack, and its
+Adam keeps a step count per row. Arithmetic stays in the flat's dtype (the
+MADDPG nets are float64, the stacked DQNs float32). Hidden activations are
+rectifiers and the output is linear; gradients are computed exactly by hand
+and are validated against finite differences in the tests.
 """
 
 import numpy as np
@@ -100,8 +101,8 @@ def blend(target, online, tau):
 class Mlp:
     """Fully connected net: dims = [in, hidden..., out], relu hiddens, linear out.
 
-    The parameters live in the vector flat; weights, biases and params are
-    views of it. Given flat, the net is built over it without drawing.
+    The parameters live in flat, one vector or an (m, P) stack; weights,
+    biases and params are views of it. Given flat, it is used without drawing.
     """
 
     def __init__(self, dims: list[int], rng: np.random.Generator | None = None,
@@ -119,24 +120,25 @@ class Mlp:
         self.flat = flat
         self.params = param_views(flat, self.dims)
         self.weights, self.biases = self.params[0::2], self.params[1::2]
+        self.layers = layer_views(flat, self.dims)
 
     def _batch(self, x) -> np.ndarray:
-        a = np.asarray(x, dtype=float)
+        a = np.asarray(x, dtype=self.flat.dtype)
         if a.ndim == 1:
             a = a[None, :]
-        if a.shape[1] != self.dims[0]:
-            raise ValueError(f"input dim {a.shape[1]} != {self.dims[0]}")
+        if a.shape[-1] != self.dims[0]:
+            raise ValueError(f"input dim {a.shape[-1]} != {self.dims[0]}")
         return a
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Plain forward pass; x is (batch, in) or (in,)."""
-        out = forward(self.weights, self.biases, self._batch(x))
+        """Plain forward pass; x is (..., batch, in) or (in,)."""
+        out = forward(*self.layers, self._batch(x))
         return out[0] if np.ndim(x) == 1 else out
 
     def forward_cached(self, x: np.ndarray):
         """Forward pass keeping post-activation values for backward()."""
         acts = []
-        return forward(self.weights, self.biases, self._batch(x), acts), acts
+        return forward(*self.layers, self._batch(x), acts), acts
 
     def backward(self, acts: list[np.ndarray], grad_out: np.ndarray,
                  param_grads: bool = True, input_grad: bool = True):
@@ -147,7 +149,7 @@ class Mlp:
         """
         if acts is None or len(acts) != len(self.weights) + 1:
             raise ValueError("backward() needs the cache from forward_cached()")
-        return backward(self.weights, acts, np.asarray(grad_out, dtype=float),
+        return backward(self.weights, acts, np.asarray(grad_out, dtype=self.flat.dtype),
                         param_grads, input_grad)
 
     def clone(self) -> "Mlp":
@@ -155,20 +157,26 @@ class Mlp:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction over one parameter vector."""
+    """Adam over a parameter vector, or over a stack with one step count t per row."""
 
-    def __init__(self, params: np.ndarray, lr: float):
+    def __init__(self, params: np.ndarray, lr: float, m: np.ndarray | None = None,
+                 v: np.ndarray | None = None, t=0):
         self.params = params
         self.lr = float(lr)
-        self.t = 0
-        self.m = np.zeros_like(params)
-        self.v = np.zeros_like(params)
+        self.t = t
+        self.m = np.zeros_like(params) if m is None else m
+        self.v = np.zeros_like(params) if v is None else v
 
     def step(self, grad: np.ndarray):
         """Update the parameter vector in place from its gradient."""
         self.t += 1
-        adam_update(self.params, grad, self.m, self.v,
-                    1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t, self.lr)
+        # Python's pow, also per row: numpy's vectorized power can differ in the last bit
+        if np.ndim(self.t) == 0:
+            b1t, b2t = 1.0 - BETA1 ** self.t, 1.0 - BETA2 ** self.t
+        else:
+            b1t, b2t = (np.array([[1.0 - beta ** t] for t in self.t.tolist()], self.params.dtype)
+                        for beta in (BETA1, BETA2))
+        adam_update(self.params, grad, self.m, self.v, b1t, b2t, self.lr)
 
 
 def soft_update(target: Mlp, online: Mlp, tau: float):

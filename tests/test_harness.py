@@ -150,15 +150,17 @@ def test_config_unknown_key_named():
                                        ("cell_size_m", -1.0), ("grid_width", 0),
                                        ("grid_height", 0), ("metrics_interval", -3),
                                        ("attraction_prob", -0.1), ("attraction_prob", 1.5),
-                                       ("seeds", [])])
+                                       ("seeds", []), ("warmup_transitions", 31),
+                                       ("batch_size", 31)])
 def test_degenerate_schedule_rejected(key, value):
     # each would divide by zero, average nothing, silently fall back, leave no
     # UAV to fly or fly one at or below the ground, serve nobody, mirror or
-    # empty the field, or fail later inside numpy or GridWorld
+    # empty the field, fail later inside numpy or GridWorld, or wait for more
+    # transitions than TINY's 30-transition replay ring can hold
     with pytest.raises(ConfigError, match=key):
         tiny_config(**{key: value})
     with pytest.raises(ConfigError, match=key):
-        build_config(parse_config_text(f"{key} = {value}\n"))
+        build_config({**TINY, **parse_config_text(f"{key} = {value}\n")})
 
 
 def test_k_max_one_runs_every_method(tmp_path):

@@ -314,7 +314,7 @@ def test_dqn_pool_lazy_and_persistent():
     ref = DqnPool(cfg, sch, np.random.default_rng(0))
     for row in rows.tolist():
         ref.stack.init_row(row, ref.init_rng)
-    assert np.array_equal(ref.stack.weights[0], pool.stack.weights[0])
+    assert np.array_equal(ref.stack.net.weights[0], pool.stack.net.weights[0])
     buffer.add_rows(np.array([3]), state=states[:1], action=[0], reward=[0.0],
                     next_state=states[:1], done=[0.0])
     assert buffer._size.tolist() == [0, 0, 0, 1]
@@ -328,12 +328,12 @@ def test_dqn_pool_lazy_and_persistent():
 
 
 def test_stacked_qnets_match_single_nets():
-    # a stacked update on two rows must equal two dqn_update steps on single
-    # Mlp nets, each with its clone() target and Adam
+    # stacked updates on two rows must equal dqn_update steps on single Mlp
+    # nets, each with its clone() target and Adam, also when the rows have
+    # taken different numbers of steps: row 1 alone first, then both rows
     from uavcov.learn import StackedQnets, zero_head_mlp
     sch = small_schedule(gamma=0.9, lr=1e-3, tau=0.05)
     dims = [3, 8, 8, 2]
-    rng = np.random.default_rng(0)
     stack = StackedQnets(4, dims, sch.lr)
     singles = []
     for row in (1, 3):
@@ -343,7 +343,7 @@ def test_stacked_qnets_match_single_nets():
                                        sch.lr)
         singles.append({"net": net, "target": target, "opt": opt})
         for li in range(len(net.weights)):
-            assert np.array_equal(stack.weights[li][row], net.weights[li])
+            assert np.array_equal(stack.net.weights[li][row], net.weights[li])
 
     data_rng = np.random.default_rng(7)
     batch = {
@@ -358,16 +358,24 @@ def test_stacked_qnets_match_single_nets():
     q_stack = stack.q_values(idx, x)
     for r, ent in enumerate(singles):
         assert np.array_equal(q_stack[r], ent["net"].forward(x[r]))
-    for _ in range(12):
-        stack.update(idx, batch, sch.gamma, sch.tau)
-        for r, ent in enumerate(singles):
-            single_batch = {k: v[r] for k, v in batch.items()}
-            dqn_update(ent["net"], ent["target"], ent["opt"], single_batch, sch)
+    for steps, rows in ((3, [0]), (9, [0, 1])):
+        for _ in range(steps):
+            stack.update(idx[rows], {k: v[rows] for k, v in batch.items()}, sch)
+            for r in rows:
+                ent = singles[r]
+                single_batch = {k: v[r] for k, v in batch.items()}
+                dqn_update(ent["net"], ent["target"], ent["opt"], single_batch, sch)
+    assert stack.opt.t.tolist() == [0, 12, 0, 9]
+    m, v = nn.param_views(stack.opt.m, dims), nn.param_views(stack.opt.v, dims)
     for r, (row, ent) in enumerate(zip((1, 3), singles)):
+        assert ent["opt"].t == stack.opt.t[row]
         for li in range(len(ent["net"].weights)):
-            assert np.array_equal(stack.weights[li][row], ent["net"].weights[li])
-            assert np.array_equal(stack.t_weights[li][row], ent["target"].weights[li])
-            assert np.array_equal(stack.biases[li][row], ent["net"].biases[li])
+            assert np.array_equal(stack.net.weights[li][row], ent["net"].weights[li])
+            assert np.array_equal(stack.target.weights[li][row], ent["target"].weights[li])
+            assert np.array_equal(stack.net.biases[li][row], ent["net"].biases[li])
+        for stacked, single in ((m, ent["opt"].m), (v, ent["opt"].v)):
+            for a, b in zip(stacked, nn.param_views(single, dims)):
+                assert np.array_equal(a[row], b)
 
 
 def test_stacked_qnets_float32_update_matches_float32_reference():
@@ -380,11 +388,12 @@ def test_stacked_qnets_float32_update_matches_float32_reference():
     idx = np.array([3, 1])
     for row in idx:
         stack.init_row(row, np.random.default_rng(100 + row))
-    n = len(stack.weights)
-    refs = [{"p": [p[row].copy() for p in stack.weights + stack.biases],
-             "t": [t[row].copy() for t in stack.t_weights + stack.t_biases],
-             "m": [np.zeros_like(p[row]) for p in stack.m],
-             "v": [np.zeros_like(v[row]) for v in stack.v]} for row in idx]
+    n = len(stack.net.weights)
+    refs = [{"p": [p[row].copy() for p in stack.net.weights + stack.net.biases],
+             "t": [t[row].copy() for t in stack.target.weights + stack.target.biases],
+             "m": [np.zeros_like(p[row]) for p in stack.net.weights + stack.net.biases],
+             "v": [np.zeros_like(p[row]) for p in stack.net.weights + stack.net.biases]}
+            for row in idx]
     data_rng = np.random.default_rng(9)
     batch = {
         "state": data_rng.normal(size=(2, 6, 3)),
@@ -395,7 +404,7 @@ def test_stacked_qnets_float32_update_matches_float32_reference():
     }
     batch = {k: v.astype(np.float32) for k, v in batch.items()}
     for step in range(1, 4):
-        stack.update(idx, batch, sch.gamma, sch.tau)
+        stack.update(idx, batch, sch)
         b1t = np.float32(1.0 - nn.BETA1 ** step)
         b2t = np.float32(1.0 - nn.BETA2 ** step)
         for r, ref in enumerate(refs):
@@ -410,8 +419,10 @@ def test_stacked_qnets_float32_update_matches_float32_reference():
                                      ref["t"]):
                 nn.adam_update(p, g, m, v, b1t, b2t, sch.lr)
                 nn.blend(t, p, sch.tau)
-    stacked = {"p": stack.weights + stack.biases, "t": stack.t_weights + stack.t_biases,
-               "m": stack.m, "v": stack.v}
+    m, v = nn.param_views(stack.opt.m, dims), nn.param_views(stack.opt.v, dims)
+    stacked = {"p": stack.net.weights + stack.net.biases,
+               "t": stack.target.weights + stack.target.biases,
+               "m": m[0::2] + m[1::2], "v": v[0::2] + v[1::2]}
     for kind, arrays in stacked.items():
         assert all(a.dtype == np.float32 for a in arrays), kind
         for r, row in enumerate(idx):
@@ -427,8 +438,8 @@ def test_stacked_qnets_gradients_match_finite_differences():
     stack = StackedQnets(2, dims, lr=0.0)
     for row in range(2):
         stack.init_row(row, rng)
-        stack.weights[-1][row] = rng.normal(0, 0.3, size=stack.weights[-1][row].shape)
-        stack.biases[-1][row] = rng.normal(0, 0.3, size=2)
+        stack.net.weights[-1][row] = rng.normal(0, 0.3, size=stack.net.weights[-1][row].shape)
+        stack.net.biases[-1][row] = rng.normal(0, 0.3, size=2)
     idx = np.array([0, 1])
     batch = {
         "state": rng.normal(size=(2, 4, 3)),
@@ -439,8 +450,8 @@ def test_stacked_qnets_gradients_match_finite_differences():
     }
 
     def rows():
-        return ([w[idx] for w in stack.weights],
-                [b[idx][:, None, :] for b in stack.biases])
+        return ([w[idx] for w in stack.net.weights],
+                [b[idx][:, None, :] for b in stack.net.biases])
 
     def td_loss():
         q = nn.forward(*rows(), batch["state"])
@@ -452,14 +463,14 @@ def test_stacked_qnets_gradients_match_finite_differences():
     # lr 0 so update() computes gradients without moving; recompute them here
     # by finite differences of the same loss, entry by entry of the flat store
     h = 1e-6
-    numeric = np.zeros_like(stack.flat)
-    for i in np.ndindex(stack.flat.shape):
-        orig = stack.flat[i]
-        stack.flat[i] = orig + h
+    numeric = np.zeros_like(stack.net.flat)
+    for i in np.ndindex(stack.net.flat.shape):
+        orig = stack.net.flat[i]
+        stack.net.flat[i] = orig + h
         lp = td_loss()
-        stack.flat[i] = orig - h
+        stack.net.flat[i] = orig - h
         lm = td_loss()
-        stack.flat[i] = orig
+        stack.net.flat[i] = orig
         numeric[i] = (lp - lm) / (2 * h)
 
     # the analytic gradients as update() computes them: td_error, then nn.backward
@@ -494,18 +505,18 @@ def test_checkpoint_roundtrip_bit_identical(tmp_path):
 
     snapshot = [p.copy() for p in maddpg.actors[0].params]
     t_snapshot = maddpg.actor_opts[0].t
-    stack_snapshot = dqns.stack.weights[0].copy()
+    stack_snapshot = dqns.stack.net.weights[0].copy()
     # mutate, then restore
     for p in maddpg.actors[0].params:
         p += 1.0
     maddpg.actor_opts[0].t = 999
-    dqns.stack.weights[0][...] += 0.5
+    dqns.stack.net.weights[0][...] += 0.5
     counters = load_checkpoint(path, maddpg, dqns)
     assert counters == {"frame": 3}
     for a, b in zip(snapshot, maddpg.actors[0].params):
         assert np.array_equal(a, b)
     assert maddpg.actor_opts[0].t == t_snapshot
-    assert np.array_equal(stack_snapshot, dqns.stack.weights[0])
+    assert np.array_equal(stack_snapshot, dqns.stack.net.weights[0])
 
 
 def test_checkpoint_restores_identical_continuation(tmp_path):
@@ -527,7 +538,7 @@ def test_checkpoint_restores_identical_continuation(tmp_path):
     maddpg.buffer.clear()
     dqns.buffer.clear()
     train_frame(world2, maddpg, dqns, sch, np.random.default_rng(10), 0, 1000)
-    direct = [p.copy() for p in maddpg.actors[0].params] + [dqns.stack.weights[0].copy()]
+    direct = [p.copy() for p in maddpg.actors[0].params] + [dqns.stack.net.weights[0].copy()]
     # reload into a fresh learner and continue identically
     worldb, maddpgb, dqnsb = fresh()
     # the same init_rng draws: the first selection covers every row in order
@@ -538,7 +549,7 @@ def test_checkpoint_restores_identical_continuation(tmp_path):
     maddpgb.buffer.clear()
     dqnsb.buffer.clear()
     train_frame(worldb2, maddpgb, dqnsb, sch, np.random.default_rng(10), 0, 1000)
-    resumed = [p.copy() for p in maddpgb.actors[0].params] + [dqnsb.stack.weights[0].copy()]
+    resumed = [p.copy() for p in maddpgb.actors[0].params] + [dqnsb.stack.net.weights[0].copy()]
     for a, b in zip(direct, resumed):
         assert np.array_equal(a, b)
 

@@ -71,6 +71,13 @@ def test_forward_shape_check():
     net = Mlp([3, 2], np.random.default_rng(0))
     with pytest.raises(ValueError):
         net.forward(np.ones(4))
+    # an Mlp over a stack: the input's last axis is checked, not axis 1, and
+    # the flat's dtype is kept
+    stack = Mlp([3, 5, 2], flat=np.zeros((4, nn.param_count([3, 5, 2])), np.float32))
+    out = stack.forward(np.ones((4, 7, 3)))
+    assert out.shape == (4, 7, 2) and out.dtype == np.float32
+    with pytest.raises(ValueError, match="input dim 4 != 3"):
+        stack.forward(np.ones((4, 3, 4)))
 
 
 def test_backward_requires_cache():
